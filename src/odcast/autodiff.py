@@ -238,32 +238,6 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = 0) -> list[Tensor]:
     return outs
 
 
-_OPS: dict[str, Callable] = {
-    "matmul": matmul,
-    "transpose": transpose,
-    "concat": lambda *inputs, axis=0: concat(inputs, axis=axis),
-    "split": split,
-    "add": add,
-    "mul": mul,
-    "scale": scale,
-    "exp": exp,
-    "relu": relu,
-    "softmax": softmax,
-    "sum": tensor_sum,
-    "mean": mean,
-    "square": square,
-}
-
-
-def record(op: str, *inputs, **kwargs):
-    """Name-dispatched entry point for the supported tape operations."""
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ShapeError(f"unknown op {op!r}; supported: {sorted(_OPS)}") from None
-    return fn(*inputs, **kwargs)
-
-
 # -- backward pass ------------------------------------------------------
 
 

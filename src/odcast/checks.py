@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import FdReport, fd_check
 from .events import EventBatch, NodeCatalog, TransactionEvent, batch_by_window
-from .memory import (DecayConfig, StationMemory, aggregate_messages,
-                     oracle_representation_packed, pack_events, read_representation,
-                     update_station_memory)
+from .memory import (DecayConfig, aggregate_messages, oracle_representation_packed,
+                     pack_events, update_stations)
 from .model import HyperParams, MemoryBank, init_params, od_loss, predict_od, step
 from .multilevel import LevelState
 
@@ -48,14 +48,15 @@ class OracleCheckResult:
 
 def oracle_equivalence_check(n_events: int = 10_000, n_nodes: int = 20, dim: int = 6,
                              n_batches: int = 50, seed: int = 0) -> OracleCheckResult:
-    """Replay a random stream through the online accumulators and compare the
-    representation after every batch against the closed-form weighted mean.
+    """Replay a random stream through the model's station update and compare
+    every representation after every batch against the closed-form weighted mean.
 
-    The online side runs with an identity update map, frozen neighbor
-    representations, and no feature/role extension, which is the regime in
-    which the accumulators are an exact rewrite of the closed form.  The
-    closed form includes the unit initial normalizer mass so both sides share
-    the b=1 birth convention.
+    All stations advance together through :func:`memory.update_stations`, the
+    same function :func:`model.step` runs, here with an identity update map,
+    frozen neighbor representations, and no feature/role extension: the
+    regime in which the accumulators are an exact rewrite of the closed form.
+    The closed form includes the unit initial normalizer mass so both sides
+    share the b=1 birth convention.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -68,21 +69,20 @@ def oracle_equivalence_check(n_events: int = 10_000, n_nodes: int = 20, dim: int
     tau = horizon / n_batches
     batches = batch_by_window(events, 0.0, tau, until=horizon)
 
-    identity = lambda p: p  # noqa: E731 - the update map under test is identity
-    memories = [StationMemory.fresh(dim) for _ in range(n_nodes)]
+    a, b, last = np.zeros((n_nodes, dim)), np.ones(n_nodes), 0.0
     worst = 0.0
     for batch in batches:
         msgs = aggregate_messages(batch, frozen, catalog, cfg,
                                   include_features=False, include_role=False)
         t = batch.window_end
+        a_new, b = update_stations(a, b, ad.constant(msgs.p), msgs.q, t - last, cfg)
+        a, last = a_new.data, t
+        online = a / b[:, None]
         for node in range(n_nodes):
-            memories[node] = update_station_memory(memories[node], msgs.node(node), t,
-                                                   identity, cfg)
-            online = read_representation(memories[node])
             closed = oracle_representation_packed(node, packed, t, frozen, cfg,
                                                   initial_mass_time=0.0)
             scale = max(float(np.max(np.abs(closed))), 1e-30)
-            worst = max(worst, float(np.max(np.abs(online - closed))) / scale)
+            worst = max(worst, float(np.max(np.abs(online[node] - closed))) / scale)
     return OracleCheckResult(max_rel_error=worst, batches=len(batches),
                              events=len(events), seconds=time.perf_counter() - started)
 

@@ -1,17 +1,17 @@
-"""Metrics, the historical-average baseline, and chronological evaluation walks."""
+"""Metrics, the historical-average baseline, and the chronological replay of the model."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from .errors import LengthMismatch
 from .events import (EventBatch, NodeCatalog, TransactionEvent, batch_by_cap,
                      batch_by_window, build_od_matrix, default_t0, od_matrix_series)
-from .model import HyperParams, MemoryBank, ModelParams, predict_od, step
+from .model import HyperParams, MemoryBank, ModelParams, StepResult, predict_od, step
 from .multilevel import RelationTensors
 
 if TYPE_CHECKING:
@@ -136,6 +136,38 @@ class EvalResult:
     predictions: list[WindowPrediction]
 
 
+class Replay:
+    """The model's chronological walk over an event stream, batched once.
+
+    Batches are tau windows from ``t0`` (by default the first event floored
+    to a tau boundary) up to ``until``, split every ``cap`` events when a cap
+    is given.  With ``windows`` set, the walk covers exactly the first
+    ``windows`` windows and drops the events outside them.  Each iteration
+    starts a fresh :class:`MemoryBank` at ``t0`` and yields
+    ``(batch, step result, bank)`` after every step.
+    """
+
+    def __init__(self, params: ModelParams, events: Sequence[TransactionEvent],
+                 catalog: NodeCatalog, hyper: HyperParams, t0: float | None = None,
+                 until: float | None = None, cap: int | None = None,
+                 windows: int | None = None):
+        self.params, self.catalog, self.hyper = params, catalog, hyper
+        tau = hyper.tau
+        self.t0 = default_t0(events, tau) if t0 is None else t0
+        if windows is not None:
+            until = self.t0 + windows * tau
+            events = [ev for ev in events if self.t0 <= ev.timestamp < until]
+        if cap is None:
+            self.batches = batch_by_window(events, self.t0, tau, until=until)
+        else:
+            self.batches = batch_by_cap(events, self.t0, tau, cap, until=until)
+
+    def __iter__(self) -> Iterator[tuple[EventBatch, StepResult, MemoryBank]]:
+        bank = MemoryBank.initial(self.params, self.hyper, self.t0)
+        for batch in self.batches:
+            yield batch, step(bank, batch, self.params, self.hyper, self.catalog), bank
+
+
 def evaluate(params: ModelParams, events: Sequence[TransactionEvent], catalog: NodeCatalog,
              hyper: HyperParams, splits: "Splits", t0: float | None = None) -> EvalResult:
     """Chronological walk over train+validation+test, reporting on test targets.
@@ -144,19 +176,15 @@ def evaluate(params: ModelParams, events: Sequence[TransactionEvent], catalog: N
     would run; no parameters are updated anywhere.
     """
     tau = hyper.tau
-    if t0 is None:
-        t0 = default_t0(events, tau)
     total = splits.total
-    horizon = t0 + total * tau
-    visible = [ev for ev in events if t0 <= ev.timestamp < horizon]
-    batches = batch_by_window(visible, t0, tau, until=horizon)
+    # The last window is only a target: walk the ones before it.
+    replay = Replay(params, events, catalog, hyper, t0, windows=total - 1)
+    t0 = replay.t0
     first_test = splits.train_windows + splits.val_windows
 
-    truths = od_matrix_series(visible, t0, tau, total, hyper.n)
-    bank = MemoryBank.initial(params, hyper, t0)
+    truths = od_matrix_series(events, t0, tau, total, hyper.n)
     predictions: list[WindowPrediction] = []
-    for w in range(total - 1):
-        result = step(bank, batches[w], params, hyper, catalog)
+    for w, (_, result, _) in enumerate(replay):
         target = w + 1
         if target >= first_test:
             pred = predict_od(result.z, params)
@@ -183,19 +211,20 @@ def predict_walk(params: ModelParams, events: Sequence[TransactionEvent],
     (each sub-batch yields a prediction for [window_end, window_end + tau)).
     """
     tau = hyper.tau
-    if t0 is None:
-        t0 = default_t0(events, tau)
-    if cap is None:
-        batches = batch_by_window(events, t0, tau, until=until)
-    else:
-        batches = batch_by_cap(events, t0, tau, cap, until=until)
-
-    bank = MemoryBank.initial(params, hyper, t0)
+    replay = Replay(params, events, catalog, hyper, t0, until, cap)
+    if with_actual:
+        # One bisection of the (validated, sorted) stream bounds every target
+        # window.  side="right" keeps an event at exactly t + tau in the slice;
+        # build_od_matrix applies the exact half-open test to it.
+        times = np.fromiter((ev.timestamp for ev in events), dtype=float, count=len(events))
+        ends = np.array([batch.window_end for batch in replay.batches])
+        los = np.searchsorted(times, ends, side="left")
+        his = np.searchsorted(times, ends + tau, side="right")
     out: list[WindowPrediction] = []
-    for batch in batches:
-        result = step(bank, batch, params, hyper, catalog)
+    for k, (batch, result, _) in enumerate(replay):
         t = batch.window_end
-        actual = build_od_matrix(events, t, tau, hyper.n) if with_actual else None
+        actual = (build_od_matrix(events[los[k]:his[k]], t, tau, hyper.n)
+                  if with_actual else None)
         out.append(WindowPrediction(t, t + tau, predict_od(result.z, params).matrix, actual))
     return out
 
@@ -204,16 +233,12 @@ def final_relations(params: ModelParams, events: Sequence[TransactionEvent],
                     catalog: NodeCatalog, hyper: HyperParams,
                     t0: float | None = None) -> RelationTensors:
     """Replay the stream and return the relation tensors of the last step."""
-    tau = hyper.tau
-    if t0 is None:
-        t0 = default_t0(events, tau)
-    batches = batch_by_window(events, t0, tau)
-    if not batches:
-        batches = [EventBatch((), t0, t0 + tau)]
-    bank = MemoryBank.initial(params, hyper, t0)
+    replay = Replay(params, events, catalog, hyper, t0)
+    if not replay.batches:  # an empty stream still gets one idle window
+        replay.batches.append(EventBatch((), replay.t0, replay.t0 + hyper.tau))
     relations = None
-    for batch in batches:
-        relations = step(bank, batch, params, hyper, catalog).relations
+    for _, result, _ in replay:
+        relations = result.relations
     if relations is None:
         raise ValueError("relations are not defined under the no_multilevel ablation")
     return relations
@@ -227,18 +252,13 @@ def export_representations(params: ModelParams, events: Sequence[TransactionEven
     Rows are ``timestamp,node,dim,value`` with timestamp the batch end; the
     raw d-dimensional series is suitable for offline projection (PCA etc.).
     """
-    tau = hyper.tau
-    if t0 is None:
-        t0 = default_t0(events, tau)
-    batches = batch_by_window(events, t0, tau, until=until)
-    bank = MemoryBank.initial(params, hyper, t0)
+    replay = Replay(params, events, catalog, hyper, t0, until)
     for node in nodes:
         if not 0 <= node < hyper.n:
             raise ValueError(f"node {node} out of range 0..{hyper.n - 1}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("timestamp,node,dim,value\n")
-        for batch in batches:
-            step(bank, batch, params, hyper, catalog)
+        for batch, _, bank in replay:
             reps = bank.station_reps()
             for node in nodes:
                 for dim in range(hyper.dim):

@@ -7,6 +7,7 @@ exponentially weighted average of past event information: recent trips count
 more, frequent neighbors count more.  Both accumulators are multiplied by
 ``exp(-decay_rate * dt)`` whenever time advances, so a batch of events can be
 folded in with O(1) work per station regardless of history length.
+:func:`update_stations` is the one implementation of that update.
 
 Every event contributes one incidence to each of its endpoints: the origin
 receives the destination's representation (role flag +1) and vice versa
@@ -22,6 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import Tensor
 from .errors import DegenerateNormalizer, NodeNotEndpoint, TimeRegression
 from .events import EventBatch, NodeCatalog, TransactionEvent
 
@@ -169,25 +172,31 @@ def aggregate_messages(batch: EventBatch, reps: np.ndarray, catalog: NodeCatalog
     return StationMessages(p=p, q=q)
 
 
+def update_stations(a: np.ndarray, b: np.ndarray, update: Tensor, q: np.ndarray, dt: float,
+                    cfg: DecayConfig, weighted: bool = True) -> tuple[Tensor, np.ndarray]:
+    """Advance every station memory by ``dt`` seconds and fold in a batch.
+
+    Row by row, ``a' = decay * a + [q > 0] * update`` and
+    ``b' = decay * b + q`` with ``decay = exp(-decay_rate * dt)``, where
+    ``update`` is the update map applied to the batch messages ``p``.  Idle
+    stations (``q == 0``) only decay: feeding the zero message through the
+    map would leak its learned bias into every idle station each batch.
+    ``a'`` is returned on the tape so gradients reach the update map.
+    """
+    decay = cfg.factor(dt, weighted)
+    active = np.broadcast_to((q > 0.0)[:, None].astype(float), update.data.shape)
+    a_new = ad.add(ad.scale(ad.constant(a), decay), ad.mul(update, ad.constant(active)))
+    return a_new, decay * b + q
+
+
 def update_station_memory(mem: StationMemory, msg: StationMessage, t: float,
                           update_mlp: Callable[[np.ndarray], np.ndarray],
                           cfg: DecayConfig, weighted: bool = True) -> StationMemory:
-    """Advance one station memory to time ``t`` and fold in a batch message.
-
-    ``a' = exp(-decay_rate * dt) * a + update_mlp(p)`` and
-    ``b' = exp(-decay_rate * dt) * b + q``.  When ``q == 0`` the update term
-    is suppressed entirely: an idle station must only decay, and feeding the
-    zero message through the map would leak its learned bias into every idle
-    station each batch.
-    """
-    if t < mem.last_update:
-        raise TimeRegression(f"update time {t} precedes last update {mem.last_update}")
-    decay = cfg.factor(t - mem.last_update, weighted)
-    a = decay * mem.a
-    if msg.q > 0.0:
-        a = a + np.asarray(update_mlp(msg.p), dtype=float)
-    b = decay * mem.b + msg.q
-    return StationMemory(a=a, b=b, last_update=t)
+    """Advance one station memory to time ``t`` through :func:`update_stations`."""
+    update = ad.constant(np.asarray(update_mlp(msg.p), dtype=float)[None, :])
+    a, b = update_stations(mem.a[None, :], np.array([mem.b]), update, np.array([msg.q]),
+                           t - mem.last_update, cfg, weighted)
+    return StationMemory(a=a.data[0], b=float(b[0]), last_update=t)
 
 
 def read_representation(mem: StationMemory) -> np.ndarray:

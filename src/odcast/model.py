@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionMismatch, TimeRegression, VersionMismatch
 from .events import EventBatch, NodeCatalog
-from .memory import DEFAULT_DECAY_RATE, DecayConfig, aggregate_messages
+from .memory import DEFAULT_DECAY_RATE, DecayConfig, aggregate_messages, update_stations
 from .multilevel import (AttentionWeights, LevelState, RelationTensors, compute_relations,
                          fuse, project_area_message, project_cluster_messages,
                          update_level_memories)
@@ -258,13 +258,9 @@ def step(bank: MemoryBank, batch: EventBatch, params: ModelParams, hyper: HyperP
     reps_prev = bank.station_reps()
 
     msgs = aggregate_messages(batch, reps_prev, catalog, cfg, weighted=hyper.weighted)
-    decay = cfg.factor(t - bank.last_update, hyper.weighted)
-
-    mlp_out = params.station_mlp(ad.constant(msgs.p))
-    active = np.broadcast_to((msgs.q > 0.0)[:, None].astype(float), mlp_out.data.shape)
-    a_new = ad.add(ad.scale(ad.constant(bank.station_a), decay),
-                   ad.mul(mlp_out, ad.constant(active)))
-    b_new = decay * bank.station_b + msgs.q
+    a_new, b_new = update_stations(bank.station_a, bank.station_b,
+                                   params.station_mlp(ad.constant(msgs.p)), msgs.q,
+                                   t - bank.last_update, cfg, hyper.weighted)
     inv_b = np.broadcast_to((1.0 / b_new)[:, None], a_new.data.shape)
     r_new = ad.mul(a_new, ad.constant(inv_b))
 

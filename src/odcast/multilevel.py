@@ -10,8 +10,11 @@ normalized views:
 * ``agm`` - softmax over clusters: how strongly each cluster's message flows
   into the area node;
 * ``ace`` - softmax over clusters (per station row): how strongly each
-  cluster's memory flows BACK into a station during fusion;
-* ``age`` - softmax over the (single) area column, identically 1.
+  cluster's memory flows BACK into a station during fusion.
+
+There is no fusion view of the cluster-area logits: normalized over the
+single area column it would be identically 1, so every station receives the
+area memory unchanged.
 
 Cluster and area memories keep only the weighted accumulator; the
 normalization that station memories get from their ``b`` term is already
@@ -55,7 +58,6 @@ class RelationTensors:
     acm: list[Tensor]  # softmax of ac over stations (axis 0)
     agm: list[Tensor]  # softmax of ag over clusters (axis 0)
     ace: list[Tensor]  # softmax of ac over clusters (axis 1)
-    age: list[Tensor]  # softmax of ag over the area axis (identically 1)
 
     @property
     def heads(self) -> int:
@@ -134,7 +136,6 @@ def compute_relations(station_reps, cluster_reps, area_rep, attn: AttentionWeigh
         acm=[ad.softmax(a, axis=0) for a in ac],
         agm=[ad.softmax(a, axis=0) for a in ag],
         ace=[ad.softmax(a, axis=1) for a in ac],
-        age=[ad.softmax(a, axis=1) for a in ag],
     )
 
 
@@ -196,12 +197,13 @@ def update_level_memories(state: LevelState, cluster_msgs: Tensor, area_msg: Ten
 
 
 def fuse(station_reps, state: LevelState, relations: RelationTensors) -> Tensor:
-    """Concatenate station representations with head-averaged level pullbacks.
+    """Concatenate station representations with their level memories.
 
-    The fusion weights reuse the same relation logits, row-normalized so each
-    station takes a convex combination of cluster memories per head; the
-    area memory reaches stations through the cluster weights composed with
-    the (trivially all-ones) cluster-to-area weights.
+    The cluster block reuses the relation logits, row-normalized so each
+    station takes a convex combination of cluster memories per head,
+    averaged over heads.  The area block is the area memory on every row: a
+    station reaches the single area node through its clusters, whose weights
+    sum to 1 and whose cluster-to-area weights are all 1.
     """
     station = ad.as_tensor(station_reps)
     cluster_mem = ad.as_tensor(state.cluster_mem)
@@ -213,14 +215,12 @@ def fuse(station_reps, state: LevelState, relations: RelationTensors) -> Tensor:
         )
     heads = relations.heads
     from_clusters = None
-    from_area = None
     for h in range(heads):
         pull_c = ad.matmul(relations.ace[h], cluster_mem)                  # (N, d)
-        pull_g = ad.matmul(ad.matmul(relations.ace[h], relations.age[h]), area_mem)
         from_clusters = pull_c if from_clusters is None else ad.add(from_clusters, pull_c)
-        from_area = pull_g if from_area is None else ad.add(from_area, pull_g)
     from_clusters = ad.scale(from_clusters, 1.0 / heads)
-    from_area = ad.scale(from_area, 1.0 / heads)
+    # A ones column broadcasts the area row and keeps the area memory on the tape.
+    from_area = ad.matmul(ad.constant(np.ones((station.data.shape[0], 1))), area_mem)
     return ad.concat([station, from_clusters, from_area], axis=1)
 
 

@@ -23,9 +23,10 @@ import numpy as np
 from . import evaluation
 from .autodiff import Tensor, backward, grad_of, zero_grads
 from .errors import ChecksumMismatch, EmptyTrainSplit, IoError, ShapeError, VersionMismatch
-from .events import NodeCatalog, TransactionEvent, batch_by_window, default_t0, od_matrix_series
-from .model import (HyperParams, MemoryBank, ModelParams, empty_params, init_params,
-                    od_loss, predict_od, step)
+from .events import NodeCatalog, TransactionEvent, od_matrix_series
+from .events import batch_by_window  # noqa: F401  (perfbench traces training.batch_by_window)
+from .model import HyperParams, ModelParams, empty_params, init_params, od_loss, predict_od
+from .model import step  # noqa: F401  (perfbench traces training.step)
 
 CHECKPOINT_MAGIC = b"CMODCKPT"
 CHECKPOINT_VERSION = 1
@@ -186,17 +187,13 @@ def train(events: Sequence[TransactionEvent], catalog: NodeCatalog, hyper: Hyper
     to the initial state at the start of every epoch, so epochs are
     independent replays.
     """
-    tau = hyper.tau
-    t0 = tc.t0 if tc.t0 is not None else default_t0(events, tau)
     splits = tc.splits
     walk_windows = splits.train_windows + splits.val_windows
-    horizon = t0 + walk_windows * tau
-    visible = [ev for ev in events if t0 <= ev.timestamp < horizon]
-    batches = batch_by_window(visible, t0, tau, until=horizon)
-
-    truths = od_matrix_series(visible, t0, tau, walk_windows, hyper.n)
-
     params = init_params(hyper, tc.seed)
+    # The last window is only a target: walk the ones before it.
+    replay = evaluation.Replay(params, events, catalog, hyper, tc.t0, windows=walk_windows - 1)
+    truths = od_matrix_series(events, replay.t0, hyper.tau, walk_windows, hyper.n)
+
     named = params.named_tensors()
     opt = AdamState(lr=tc.lr)
 
@@ -206,13 +203,11 @@ def train(events: Sequence[TransactionEvent], catalog: NodeCatalog, hyper: Hyper
 
     for epoch in range(1, tc.max_epochs + 1):
         started = time.perf_counter()
-        bank = MemoryBank.initial(params, hyper, t0)
         train_losses: list[float] = []
         val_preds: list[np.ndarray] = []
         val_truths: list[np.ndarray] = []
 
-        for w in range(walk_windows - 1):
-            result = step(bank, batches[w], params, hyper, catalog)
+        for w, (_, result, _) in enumerate(replay):
             target = w + 1
             if target < splits.train_windows:
                 pred = predict_od(result.z, params)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from odcast import autodiff as ad
-from odcast.autodiff import Tensor, backward, fd_check, grad_of, record, zero_grads
+from odcast.autodiff import Tensor, backward, fd_check, grad_of, zero_grads
 from odcast.errors import NonFiniteValue, NotScalar, ShapeError, TapeReuse
 
 
@@ -42,13 +42,6 @@ class TestForward:
         with pytest.raises(ShapeError):
             ad.add(param([[1.0, 2.0]]), param([[1.0], [2.0]]))
 
-    def test_record_dispatch(self):
-        a = param([[1.0, -2.0]])
-        assert np.array_equal(record("relu", a).data, ad.relu(a).data)
-        assert np.array_equal(record("square", a).data, [[1.0, 4.0]])
-        with pytest.raises(ShapeError):
-            record("frobnicate", a)
-
     def test_relu_derivative_zero_at_zero(self):
         x = param([[0.0, 1.0, -1.0]])
         loss = ad.tensor_sum(ad.relu(x))
@@ -59,7 +52,7 @@ class TestForward:
 class TestBackward:
     def test_add_gradient_is_one(self):
         x, y = param([[1.0, 2.0]]), param([[3.0, 4.0]])
-        backward(ad.tensor_sum(record("add", x, y)))
+        backward(ad.tensor_sum(ad.add(x, y)))
         assert np.array_equal(x.grad, [[1.0, 1.0]])
         assert np.array_equal(y.grad, [[1.0, 1.0]])
 

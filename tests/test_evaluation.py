@@ -203,6 +203,24 @@ class TestPredictWalk:
             assert p.window_start == b.window_end
             assert p.window_end == b.window_end + tau
 
+    def test_capped_actuals_match_brute_force_count(self):
+        hyper, params, catalog = tiny_model()
+        tau = hyper.tau
+        # cap=2 ends sub-batches at 10, 20, 80, 100, ...: targets off the tau grid,
+        # with events at exactly 10 + tau, 20 + tau, 80 + tau and 100 + tau.
+        times = [5.0, 10.0, 15.0, 20.0, 25.0, 70.0, 80.0, 95.0, 100.0, 119.0,
+                 125.0, 140.0, 160.0, 175.0]
+        events = [TransactionEvent(k % 3, (2 * k + 1) % 3, t) for k, t in enumerate(times)]
+        preds = predict_walk(params, events, catalog, hyper, t0=0.0, cap=2)
+        assert any(p.window_start % tau for p in preds)
+        assert any(ev.timestamp == p.window_end for p in preds for ev in events)
+        for p in preds:
+            expected = np.zeros((3, 3))
+            for ev in events:
+                if p.window_start <= ev.timestamp < p.window_end:
+                    expected[ev.origin, ev.destination] += 1.0
+            assert np.array_equal(p.actual, expected)
+
     def test_csv_dump(self, tmp_path):
         hyper, params, catalog = tiny_model()
         events = tiny_stream(3, 3, seed=2)

@@ -55,7 +55,6 @@ class TestComputeRelations:
             assert np.allclose(rel.acm[h].data.sum(axis=0), 1.0, atol=1e-9)
             assert np.allclose(rel.agm[h].data.sum(axis=0), 1.0, atol=1e-9)
             assert np.allclose(rel.ace[h].data.sum(axis=1), 1.0, atol=1e-9)
-            assert np.allclose(rel.age[h].data, 1.0)
             for view in (rel.acm[h], rel.ace[h]):
                 assert (view.data > 0.0).all() and (view.data < 1.0).all()
 
@@ -270,9 +269,8 @@ class TestFuse:
             for h in range(heads):
                 for j in range(n_c):
                     rc += rel.ace[h].data[i, j] * cluster_mem[j]
-                    for k in range(1):
-                        rg += (rel.ace[h].data[i, j] * rel.age[h].data[j, k]
-                               * area_mem[k])
+                    # The single area column: every cluster-to-area fusion weight is 1.
+                    rg += rel.ace[h].data[i, j] * area_mem[0]
             rc /= heads
             rg /= heads
             assert np.allclose(z[i], np.concatenate([station[i], rc, rg]),
