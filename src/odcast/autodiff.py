@@ -9,7 +9,7 @@ is no general broadcasting; the single allowed shape mix is adding a length-m
 vector to every row of an (n, m) matrix, which is what bias terms need.
 
 Every forward value and every gradient is checked for NaN/Inf and aborts
-with diagnostics when one appears (toggle with :func:`set_finite_checks`).
+with diagnostics when one appears.
 Calling backward twice on the same tape is an error.
 """
 
@@ -22,20 +22,7 @@ import numpy as np
 
 from .errors import NonFiniteValue, NotScalar, ShapeError, TapeReuse
 
-_CHECK_FINITE = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Enable or disable NaN/Inf aborts; returns the previous setting."""
-    global _CHECK_FINITE
-    previous = _CHECK_FINITE
-    _CHECK_FINITE = enabled
-    return previous
-
-
 def _assert_finite(data: np.ndarray, where: str) -> None:
-    if not _CHECK_FINITE:
-        return
     # A full-array sum is NaN or Inf iff some entry is; cheap single pass.
     if not math.isfinite(float(data.sum())):
         bad = int((~np.isfinite(data)).sum())

@@ -14,9 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import FdReport, fd_check
-from .events import EventBatch, NodeCatalog, TransactionEvent, batch_by_window
-from .memory import (DecayConfig, aggregate_messages, oracle_representation_packed,
-                     pack_events, update_stations)
+from .events import EventBatch, NodeCatalog, TransactionEvent, batch_by_window, pack_events
+from .memory import DecayConfig, aggregate_messages, oracle_representation_packed, update_stations
 from .model import HyperParams, MemoryBank, init_params, od_loss, predict_od, step
 from .multilevel import LevelState
 

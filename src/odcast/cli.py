@@ -6,8 +6,8 @@ config file (``--config``); explicit flags win over the file, and the
 effective configuration plus its hash are echoed to ``run_config.json``
 next to the outputs for provenance.
 
-Exit codes: 0 success, 2 usage/config errors, 1 domain errors (reported as
-one line with the error class name).
+Exit codes: 0 success, 2 usage/config errors, 1 domain errors.  Both are
+reported as one line with the error class name.
 """
 
 from __future__ import annotations
@@ -51,7 +51,10 @@ class RunConfig:
         if value is None:
             value = self.file.get(key, default)
         if value is not None and cast is not None:
-            value = cast(value)
+            try:
+                value = cast(value)
+            except (TypeError, ValueError):
+                raise UsageError(f"bad value for {key}: {value!r}") from None
         self.effective[key] = value
         return value
 
@@ -69,6 +72,14 @@ class RunConfig:
             encoding="utf-8")
 
 
+def _checked(build, *args, **kwargs):
+    """Call a config constructor, reporting a rejected value as a UsageError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _hyper_from(rc: RunConfig, n: int) -> HyperParams:
     decay = rc.get("decay_rate", rc.file.get("lambda", DEFAULT_DECAY_RATE), float)
     ablation = rc.get("ablation")
@@ -79,7 +90,8 @@ def _hyper_from(rc: RunConfig, n: int) -> HyperParams:
         if ablation not in ABLATIONS:
             raise UsageError(f"unknown ablation {ablation!r}; choose from {sorted(ABLATIONS)}")
         flags[ABLATIONS[ablation]] = True
-    return HyperParams(
+    return _checked(
+        HyperParams,
         n=n,
         dim=rc.get("dim", 256, int),
         msg_dim=rc.get("msg_dim", 256, int),
@@ -88,14 +100,14 @@ def _hyper_from(rc: RunConfig, n: int) -> HyperParams:
         n_clusters=rc.get("n_clusters", None, int),
         tau=rc.get("tau", 1800.0, float),
         decay_rate=decay,
-        cap=rc.get("cap", 200_000, int),
         relation_scale=bool(rc.get("relation_scale", False)),
         **flags,
     )
 
 
 def _splits_from(rc: RunConfig, tau: float) -> Splits:
-    return Splits.from_days(
+    return _checked(
+        Splits.from_days,
         rc.get("train_days", 14.0, float),
         rc.get("val_days", 2.0, float),
         rc.get("test_days", 2.0, float),
@@ -104,16 +116,28 @@ def _splits_from(rc: RunConfig, tau: float) -> Splits:
     )
 
 
-def _load_stream(rc: RunConfig):
+def _load_stream(rc: RunConfig, n: int | None = None):
+    """The ``--events`` stream and its catalog (``--catalog``, else ``n`` or ``--n`` nodes)."""
     events_path = rc.get("events")
     if not events_path:
         raise UsageError("--events is required")
     catalog_path = rc.get("catalog")
-    n = rc.get("n", None, int)
+    if n is None:
+        n = rc.get("n", None, int)
     if catalog_path is None and n is None:
         raise UsageError("need --catalog or an explicit --n node count")
     catalog = load_catalog(catalog_path, n)
     return parse_events(events_path, catalog), catalog
+
+
+def _load_model_stream(rc: RunConfig):
+    """``--checkpoint`` model plus the ``--events`` stream sized by its node count."""
+    ckpt = rc.get("checkpoint")
+    if not ckpt:
+        raise UsageError("--checkpoint is required")
+    params, _, hyper = load_checkpoint(ckpt)
+    events, catalog = _load_stream(rc, hyper.n)
+    return params, hyper, events, catalog
 
 
 def _synth_config(rc: RunConfig) -> SynthConfig:
@@ -121,7 +145,8 @@ def _synth_config(rc: RunConfig) -> SynthConfig:
     kwargs = {}
     if profile is not None:
         kwargs["profile"] = tuple(RateSegment(**seg) for seg in profile)
-    return SynthConfig(
+    return _checked(
+        SynthConfig,
         n=rc.get("n", 24, int),
         communities=rc.get("communities", 3, int),
         day_length=rc.get("day_length", 86400.0, float),
@@ -153,7 +178,8 @@ def cmd_train(args) -> int:
     events, catalog = _load_stream(rc)
     hyper = _hyper_from(rc, catalog.n)
     splits = _splits_from(rc, hyper.tau)
-    tc = TrainConfig(
+    tc = _checked(
+        TrainConfig,
         max_epochs=rc.get("epochs", 30, int),
         splits=splits,
         patience=rc.get("patience", 10, int),
@@ -179,15 +205,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     rc = RunConfig(args)
-    ckpt = rc.get("checkpoint")
-    if not ckpt:
-        raise UsageError("--checkpoint is required")
-    params, _, hyper = load_checkpoint(ckpt)
-    events_path = rc.get("events")
-    if not events_path:
-        raise UsageError("--events is required")
-    catalog = load_catalog(rc.get("catalog"), hyper.n)
-    events = parse_events(events_path, catalog)
+    params, hyper, events, catalog = _load_model_stream(rc)
     splits = _splits_from(rc, hyper.tau)
     out = Path(rc.get("out", "eval"))
     out.mkdir(parents=True, exist_ok=True)
@@ -210,16 +228,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     rc = RunConfig(args)
-    ckpt = rc.get("checkpoint")
-    if not ckpt:
-        raise UsageError("--checkpoint is required")
-    params, _, hyper = load_checkpoint(ckpt)
-    events_path = rc.get("events")
-    if not events_path:
-        raise UsageError("--events is required")
-    catalog = load_catalog(rc.get("catalog"), hyper.n)
-    events = parse_events(events_path, catalog)
+    params, hyper, events, catalog = _load_model_stream(rc)
     cap = rc.get("cap", None, int)
+    if cap is not None and cap < 1:
+        raise UsageError(f"--cap must be >= 1, got {cap}")
     out = Path(rc.get("out", "predictions.csv"))
     predictions = evaluation.predict_walk(params, events, catalog, hyper,
                                           t0=rc.get("t0", None, float), cap=cap)
@@ -263,20 +275,13 @@ def cmd_grad_check(args) -> int:
 
 def cmd_export_reps(args) -> int:
     rc = RunConfig(args)
-    ckpt = rc.get("checkpoint")
-    if not ckpt:
-        raise UsageError("--checkpoint is required")
-    params, _, hyper = load_checkpoint(ckpt)
-    events_path = rc.get("events")
-    if not events_path:
-        raise UsageError("--events is required")
-    catalog = load_catalog(rc.get("catalog"), hyper.n)
-    events = parse_events(events_path, catalog)
-    nodes_arg = rc.get("nodes", None)
-    if nodes_arg is None:
+    params, hyper, events, catalog = _load_model_stream(rc)
+    nodes = rc.get("nodes", None, lambda arg: [int(x) for x in str(arg).split(",") if x.strip()])
+    if nodes is None:
         nodes = list(range(hyper.n))
-    else:
-        nodes = [int(x) for x in str(nodes_arg).split(",") if x.strip() != ""]
+    for node in nodes:
+        if not 0 <= node < hyper.n:
+            raise UsageError(f"node {node} out of range 0..{hyper.n - 1}")
     out = rc.get("out", "representations.csv")
     evaluation.export_representations(params, events, catalog, hyper, nodes, out,
                                       t0=rc.get("t0", None, float))
@@ -286,17 +291,9 @@ def cmd_export_reps(args) -> int:
 
 def cmd_export_relations(args) -> int:
     rc = RunConfig(args)
-    ckpt = rc.get("checkpoint")
-    if not ckpt:
-        raise UsageError("--checkpoint is required")
-    params, _, hyper = load_checkpoint(ckpt)
+    params, hyper, events, catalog = _load_model_stream(rc)
     if hyper.no_multilevel or rc.get("ablation") == "no-ml":
         raise UsageError("export-relations is meaningless under the no-ml ablation")
-    events_path = rc.get("events")
-    if not events_path:
-        raise UsageError("--events is required")
-    catalog = load_catalog(rc.get("catalog"), hyper.n)
-    events = parse_events(events_path, catalog)
     out = Path(rc.get("out", "relations"))
     out.mkdir(parents=True, exist_ok=True)
     relations = evaluation.final_relations(params, events, catalog, hyper,
@@ -326,7 +323,6 @@ def _add_hyper(p: argparse.ArgumentParser) -> None:
                    help="relation projection width (default dim/heads)")
     p.add_argument("--n-clusters", type=int, dest="n_clusters",
                    help="cluster count (default ceil(sqrt(N)))")
-    p.add_argument("--cap", type=int, help="max events per memory update (default 200000)")
     p.add_argument("--ablation", choices=sorted(ABLATIONS),
                    help="variant switch: no-ml, no-mu, or mse-loss")
 

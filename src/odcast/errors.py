@@ -77,7 +77,7 @@ class EmptyTrainSplit(OdcastError):
 
 
 class IoError(OdcastError):
-    """A checkpoint or export file could not be read or written."""
+    """An input, checkpoint or export file could not be read or written."""
 
 
 class VersionMismatch(OdcastError):

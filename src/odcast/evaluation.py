@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import LengthMismatch
 from .events import (EventBatch, NodeCatalog, TransactionEvent, batch_by_cap,
-                     batch_by_window, build_od_matrix, default_t0, od_matrix_series)
+                     batch_by_window, build_od_matrix, default_t0, od_matrix_series,
+                     pack_events)
 from .model import HyperParams, MemoryBank, ModelParams, StepResult, predict_od, step
 from .multilevel import RelationTensors
 
@@ -216,7 +217,7 @@ def predict_walk(params: ModelParams, events: Sequence[TransactionEvent],
         # One bisection of the (validated, sorted) stream bounds every target
         # window.  side="right" keeps an event at exactly t + tau in the slice;
         # build_od_matrix applies the exact half-open test to it.
-        times = np.fromiter((ev.timestamp for ev in events), dtype=float, count=len(events))
+        _, _, times = pack_events(events)
         ends = np.array([batch.window_end for batch in replay.batches])
         los = np.searchsorted(times, ends, side="left")
         his = np.searchsorted(times, ends + tau, side="right")

@@ -7,6 +7,8 @@ File formats owned by this module:
   timestamp is a decimal number of seconds.  UTF-8, LF or CRLF.
 * catalog CSV: header line ``name,index``.  When no catalog file is given,
   node identifiers are taken to be the indices themselves.
+* packed events: :func:`pack_events` is the one conversion of an event
+  sequence into ``(origins, destinations, timestamps)`` arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import MalformedRow, NonMonotonicTimestamp, UnknownNode
+from .errors import IoError, MalformedRow, NonMonotonicTimestamp, UnknownNode
 
 EVENT_HEADER = ("origin", "destination", "timestamp")
 CATALOG_HEADER = ("name", "index")
@@ -128,7 +130,10 @@ class NodeCatalog:
 
 def _open_text(source: str | Path | IO) -> IO[str]:
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
+        try:
+            return open(source, "r", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise IoError(f"cannot read {source}: {exc}") from exc
     if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
         hasattr(source, "read") and isinstance(source.read(0), bytes)
     ):
@@ -198,7 +203,7 @@ def load_catalog(path: str | Path | None, n: int | None = None) -> NodeCatalog:
         if n is None:
             raise ValueError("need either a catalog file or an explicit node count")
         return NodeCatalog(n=n)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != list(CATALOG_HEADER):
@@ -222,6 +227,15 @@ def load_catalog(path: str | Path | None, n: int | None = None) -> NodeCatalog:
             raise MalformedRow(1, f"duplicate catalog index {idx}")
         names[idx] = name
     return NodeCatalog(n=count, names=tuple(names))  # type: ignore[arg-type]
+
+
+def pack_events(events: Sequence[TransactionEvent]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Event sequence as (origins, destinations, timestamps) arrays."""
+    count = len(events)
+    origins = np.fromiter((ev.origin for ev in events), dtype=np.int64, count=count)
+    dests = np.fromiter((ev.destination for ev in events), dtype=np.int64, count=count)
+    times = np.fromiter((ev.timestamp for ev in events), dtype=float, count=count)
+    return origins, dests, times
 
 
 def default_t0(events: Sequence[TransactionEvent], tau: float) -> float:
@@ -320,13 +334,7 @@ def od_matrix_series(events: Iterable[TransactionEvent], t0: float, tau: float,
         raise ValueError("need at least one node")
     if tau <= 0 or count < 1:
         raise ValueError("tau must be positive and count >= 1")
-    events = list(events)
-    m = len(events)
-    if m == 0:
-        return np.zeros((count, n, n))
-    origins = np.fromiter((ev.origin for ev in events), dtype=np.int64, count=m)
-    dests = np.fromiter((ev.destination for ev in events), dtype=np.int64, count=m)
-    times = np.fromiter((ev.timestamp for ev in events), dtype=float, count=m)
+    origins, dests, times = pack_events(list(events))
     widx = np.floor((times - t0) / tau).astype(np.int64)
     keep = (times >= t0) & (widx >= 0) & (widx < count)
     flat = (widx[keep] * n + origins[keep]) * n + dests[keep]

@@ -12,7 +12,9 @@ folded in with O(1) work per station regardless of history length.
 Every event contributes one incidence to each of its endpoints: the origin
 receives the destination's representation (role flag +1) and vice versa
 (role flag -1).  A self-loop therefore contributes both incidences to the
-same station.
+same station.  :func:`aggregate_messages` sums a batch's incidences at once:
+each station's message is its row of the batch's decayed flow matrix
+(outgoing plus incoming trips) times the node states.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DegenerateNormalizer, NodeNotEndpoint, TimeRegression
-from .events import EventBatch, NodeCatalog, TransactionEvent
+from .events import EventBatch, NodeCatalog, TransactionEvent, pack_events
 
 #: Default decay rate: one-hour half-life.
 DEFAULT_DECAY_RATE = math.log(2.0) / 3600.0
@@ -125,11 +127,6 @@ def event_representation(event: TransactionEvent, for_node: int, reps: np.ndarra
     return np.concatenate(parts)
 
 
-def message_dim(cfg: DecayConfig, catalog: NodeCatalog, include_features: bool = True,
-                include_role: bool = True) -> int:
-    return cfg.dim + (catalog.feature_dim if include_features else 0) + (1 if include_role else 0)
-
-
 def aggregate_messages(batch: EventBatch, reps: np.ndarray, catalog: NodeCatalog,
                        cfg: DecayConfig, include_features: bool = True,
                        include_role: bool = True, weighted: bool = True) -> StationMessages:
@@ -140,36 +137,24 @@ def aggregate_messages(batch: EventBatch, reps: np.ndarray, catalog: NodeCatalog
     ``w_k = exp(-decay_rate * (window_end - t_k))``, and ``q_i`` sums the
     weights alone.  Untouched stations get (p=0, q=0).  With
     ``weighted=False`` every weight is 1 (plain sums).
+
+    All of it is algebra on the batch's decayed flow matrix ``F``, whose
+    entry ``F[i, j]`` sums the weights of the batch's i->j trips.  With
+    ``S = F + F^T``, ``p = [S @ reps | S @ features | F 1 - F^T 1]`` and
+    ``q = S 1``: the message is the decayed flow matrix times the node states.
     """
     n = reps.shape[0]
-    d_s = message_dim(cfg, catalog, include_features, include_role)
-    p = np.zeros((n, d_s))
-    q = np.zeros(n)
-    if not batch.events:
-        return StationMessages(p=p, q=q)
-
-    origins = np.fromiter((ev.origin for ev in batch.events), dtype=int, count=len(batch))
-    dests = np.fromiter((ev.destination for ev in batch.events), dtype=int, count=len(batch))
-    times = np.fromiter((ev.timestamp for ev in batch.events), dtype=float, count=len(batch))
-    if weighted:
-        w = np.exp(-cfg.decay_rate * (batch.window_end - times))
-    else:
-        w = np.ones(len(times))
-
-    def incidence_block(others: np.ndarray, role: float) -> np.ndarray:
-        parts = [reps[others]]
-        if include_features:
-            parts.append(catalog.features[others])
-        if include_role:
-            parts.append(np.full((len(others), 1), role))
-        return np.concatenate(parts, axis=1)
-
-    # Origin-side incidences see the destination; destination-side see the origin.
-    np.add.at(p, origins, w[:, None] * incidence_block(dests, 1.0))
-    np.add.at(p, dests, w[:, None] * incidence_block(origins, -1.0))
-    q += np.bincount(origins, weights=w, minlength=n)
-    q += np.bincount(dests, weights=w, minlength=n)
-    return StationMessages(p=p, q=q)
+    origins, dests, times = pack_events(batch.events)
+    w = np.exp(-cfg.decay_rate * (batch.window_end - times)) if weighted else np.ones(len(times))
+    flows = np.bincount(origins * n + dests, weights=w, minlength=n * n).reshape(n, n)
+    seen = flows + flows.T
+    parts = [seen @ reps]
+    if include_features:
+        parts.append(seen @ catalog.features)
+    if include_role:
+        # Outgoing trips carry role +1, incoming trips -1.
+        parts.append((flows.sum(axis=1) - flows.sum(axis=0))[:, None])
+    return StationMessages(p=np.concatenate(parts, axis=1), q=seen.sum(axis=1))
 
 
 def update_stations(a: np.ndarray, b: np.ndarray, update: Tensor, q: np.ndarray, dt: float,
@@ -204,15 +189,6 @@ def read_representation(mem: StationMemory) -> np.ndarray:
     if mem.b <= 0.0:
         raise DegenerateNormalizer(f"normalizer b={mem.b} must be positive")
     return mem.a / mem.b
-
-
-def pack_events(events: Sequence[TransactionEvent]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Event list as (origins, destinations, timestamps) arrays."""
-    count = len(events)
-    origins = np.fromiter((ev.origin for ev in events), dtype=int, count=count)
-    dests = np.fromiter((ev.destination for ev in events), dtype=int, count=count)
-    times = np.fromiter((ev.timestamp for ev in events), dtype=float, count=count)
-    return origins, dests, times
 
 
 def oracle_representation_packed(node: int, packed, t: float, frozen_reps: np.ndarray,

@@ -44,25 +44,26 @@ class HyperParams:
     feat_dim: int | None = None
     tau: float = 1800.0
     decay_rate: float = DEFAULT_DECAY_RATE
-    cap: int = 200_000
     relation_scale: bool = False
     no_multilevel: bool = False
     no_weighted_update: bool = False
     mse_loss: bool = False
 
     def __post_init__(self):
+        if self.n < 1 or self.dim < 1 or self.heads < 1:
+            raise ValueError("n, dim, heads must all be >= 1")
         if self.rel_dim is None:
             object.__setattr__(self, "rel_dim", max(1, self.dim // self.heads))
         if self.n_clusters is None:
             object.__setattr__(self, "n_clusters", math.ceil(math.sqrt(self.n)))
         if self.feat_dim is None:
             object.__setattr__(self, "feat_dim", self.n)
-        if self.n < 1 or self.dim < 1 or self.heads < 1 or self.n_clusters < 1:
-            raise ValueError("n, dim, heads, n_clusters must all be >= 1")
+        if self.n_clusters < 1:
+            raise ValueError("n_clusters must be >= 1")
         if self.msg_dim % self.heads != 0:
             raise ValueError(f"msg_dim {self.msg_dim} must be divisible by heads {self.heads}")
-        if self.tau <= 0 or self.decay_rate <= 0 or self.cap < 1:
-            raise ValueError("tau and decay_rate must be positive, cap >= 1")
+        if self.tau <= 0 or self.decay_rate <= 0:
+            raise ValueError("tau and decay_rate must be positive")
 
     @property
     def station_msg_dim(self) -> int:

@@ -282,24 +282,47 @@ def save_checkpoint(params: ModelParams, opt: AdamState | None, hyper: HyperPara
         raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
+def _read_manifest(raw: bytes) -> tuple[HyperParams, AdamState | None, list]:
+    """Decode the JSON manifest into hyperparameters, Adam state and array shapes."""
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
+        shapes = [(str(name), [int(s) for s in shape]) for name, shape in manifest["arrays"]]
+        # Checkpoints from before the unused ``cap`` field was dropped still carry it.
+        hyper = HyperParams(**{k: v for k, v in manifest["hyper"].items() if k != "cap"})
+        meta = manifest["adam"]
+        opt = None if meta is None else AdamState(
+            lr=float(meta["lr"]), beta1=float(meta["beta1"]), beta2=float(meta["beta2"]),
+            eps=float(meta["eps"]), step_count=int(meta["step_count"]))
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise VersionMismatch(f"malformed checkpoint manifest: {exc}") from exc
+    if any(s < 0 for _, shape in shapes for s in shape):
+        raise VersionMismatch("malformed checkpoint manifest: negative array extent")
+    return hyper, opt, shapes
+
+
 def load_checkpoint(path) -> tuple[ModelParams, AdamState | None, HyperParams]:
-    """Inverse of :func:`save_checkpoint`; bitwise-exact array round trip."""
+    """Inverse of :func:`save_checkpoint`; bitwise-exact array round trip.
+
+    A truncated file or a corrupted payload raises :class:`ChecksumMismatch`,
+    a wrong version or a malformed manifest :class:`VersionMismatch`.
+    """
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
     if blob[:8] != CHECKPOINT_MAGIC:
         raise IoError(f"{path} is not a checkpoint (bad magic bytes)")
-    version = struct.unpack_from("<I", blob, 8)[0]
+    if len(blob) < 16:
+        raise ChecksumMismatch("checkpoint truncated inside the header")
+    version, manifest_len = struct.unpack_from("<II", blob, 8)
     if version != CHECKPOINT_VERSION:
         raise VersionMismatch(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    manifest_len = struct.unpack_from("<I", blob, 12)[0]
     manifest_end = 16 + manifest_len
     if manifest_end > len(blob):
         raise ChecksumMismatch("checkpoint truncated inside the manifest")
-    manifest = json.loads(blob[16:manifest_end].decode("utf-8"))
+    hyper, opt, shapes = _read_manifest(blob[16:manifest_end])
 
-    total = sum(int(np.prod(shape)) for _, shape in manifest["arrays"])
+    total = sum(math.prod(shape) for _, shape in shapes)
     payload_end = manifest_end + 8 * total
     if payload_end + 8 > len(blob):
         raise ChecksumMismatch("checkpoint truncated inside the payload")
@@ -309,21 +332,15 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState | None, HyperParams]:
 
     values: dict[str, np.ndarray] = {}
     offset = 0
-    for name, shape in manifest["arrays"]:
-        count = int(np.prod(shape))
+    for name, shape in shapes:
+        count = math.prod(shape)
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset * 8)
-        values[name] = arr.reshape([int(s) for s in shape]).astype(np.float64)
+        values[name] = arr.reshape(shape).astype(np.float64)
         offset += count
 
-    hyper = HyperParams(**manifest["hyper"])
     params = empty_params(hyper)
     params.load_state({k: v for k, v in values.items() if not k.startswith("adam.")})
-
-    opt = None
-    if manifest["adam"] is not None:
-        meta = manifest["adam"]
-        opt = AdamState(lr=meta["lr"], beta1=meta["beta1"], beta2=meta["beta2"],
-                        eps=meta["eps"], step_count=meta["step_count"])
+    if opt is not None:
         for key, arr in values.items():
             if key.startswith("adam.m."):
                 opt.m[key[len("adam.m."):]] = arr.copy()

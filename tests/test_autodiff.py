@@ -127,14 +127,6 @@ class TestFiniteChecks:
         with pytest.raises(NonFiniteValue):
             ad.exp(x)
 
-    def test_toggle(self):
-        previous = ad.set_finite_checks(False)
-        try:
-            t = Tensor(np.array([np.inf]))
-            assert np.isinf(t.data[0])
-        finally:
-            ad.set_finite_checks(previous)
-
 
 class TestFdCheck:
     def test_square_at_three(self):

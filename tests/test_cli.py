@@ -187,3 +187,29 @@ def test_ablation_flag_round_trip(tmp_path, synth_dir):
                "--ablation", "mse-loss") == 0
     _, _, hyper = load_checkpoint(out / "checkpoint.bin")
     assert hyper.mse_loss and not hyper.no_multilevel
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["train", "--events", "{tmp}/missing.csv", "--n", "4"], 1, "IoError"),
+    (["train", "--events", "{events}", "--catalog", "{tmp}/missing.csv"], 1, "IoError"),
+    (["train", "--events", "{events}", "--catalog", "{catalog}", "--heads", "0"], 2,
+     "UsageError"),
+    (["train", "--events", "{events}", "--catalog", "{catalog}", "--tau", "7000"], 2,
+     "UsageError"),
+    (["export-reps", "--checkpoint", "{checkpoint}", "--events", "{events}",
+      "--catalog", "{catalog}", "--nodes", "99", "--out", "{tmp}/reps.csv"], 2, "UsageError"),
+    (["predict", "--checkpoint", "{checkpoint}", "--events", "{events}",
+      "--catalog", "{catalog}", "--cap", "0", "--out", "{tmp}/pred.csv"], 2, "UsageError"),
+    (["train", "--config", "{tmp}/dim.json", "--events", "{events}", "--catalog", "{catalog}"],
+     2, "UsageError"),
+], ids=["missing-events", "missing-catalog", "zero-heads", "tau-not-dividing-day",
+        "node-out-of-range", "zero-cap", "non-integer-config-value"])
+def test_bad_input_is_one_line_error(tmp_path, capsys, synth_dir, trained_dir, argv, code,
+                                     error):
+    (tmp_path / "dim.json").write_text(json.dumps({"dim": "abc"}))
+    paths = {"tmp": tmp_path, "events": synth_dir / "events.csv",
+             "catalog": synth_dir / "catalog.csv", "checkpoint": trained_dir / "checkpoint.bin"}
+    capsys.readouterr()
+    assert run(*(arg.format(**paths) for arg in argv)) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{error}: ")

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odcast.errors import MalformedRow, NonMonotonicTimestamp, UnknownNode
 from odcast.events import (EventBatch, NodeCatalog, TransactionEvent, batch_by_cap,
@@ -208,6 +210,21 @@ class TestOdMatrix:
                   for t in times]
         series = od_matrix_series(events, 0.0, 30.0, 10, 4)
         assert series.sum() == len(events)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 5), stamps=st.lists(st.integers(0, 100), max_size=60),
+           t0=st.integers(0, 20), tau=st.integers(1, 12), count=st.integers(1, 6),
+           data=st.data())
+    def test_series_property(self, n, stamps, t0, tau, count, data):
+        # Half-integer timestamps against integer t0 and tau: boundaries are exact,
+        # so events land on them, before t0 and past the last window.
+        node = st.integers(0, n - 1)
+        events = [ev(data.draw(node), data.draw(node), stamp / 2.0) for stamp in sorted(stamps)]
+        series = od_matrix_series(events, float(t0), float(tau), count, n)
+        assert series.shape == (count, n, n)
+        assert series.sum() == sum(t0 <= e.timestamp < t0 + count * tau for e in events)
+        for k in range(count):
+            assert np.array_equal(series[k], build_od_matrix(events, t0 + k * tau, tau, n))
 
 
 class TestEventBatchType:

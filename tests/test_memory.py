@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odcast.errors import NodeNotEndpoint, TimeRegression
 from odcast.events import EventBatch, NodeCatalog, TransactionEvent, batch_by_window
@@ -14,6 +16,20 @@ identity = lambda p: p  # noqa: E731
 
 def ev(o, d, t):
     return TransactionEvent(o, d, t)
+
+
+@st.composite
+def batches(draw):
+    """(n, reps, events) inside [0, 120]: few distinct stamps (ties), many self-loops."""
+    n = draw(st.integers(1, 12))
+    reps = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        size=(n, draw(st.integers(1, 4))))
+    events = []
+    for stamp in sorted(draw(st.lists(st.integers(0, 12), max_size=60))):
+        origin = draw(st.integers(0, n - 1))
+        dest = draw(st.one_of(st.just(origin), st.integers(0, n - 1)))
+        events.append(ev(origin, dest, 10.0 * stamp))
+    return n, reps, tuple(events)
 
 
 class TestEventRepresentation:
@@ -76,28 +92,36 @@ class TestAggregateMessages:
         # +1 and -1 role slots cancel; representation and feature blocks double.
         assert np.allclose(msgs.p[0], [1.0, 2.0, 0.0, 0.0])
 
-    def test_matches_per_event_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        n, d = 10, 3
+    @settings(max_examples=150, deadline=None)
+    @given(case=batches(), weighted=st.booleans(), include_features=st.booleans(),
+           include_role=st.booleans())
+    def test_matches_per_event_loop_oracle(self, case, weighted, include_features,
+                                           include_role):
+        n, reps, events = case
         catalog = NodeCatalog(n=n)
-        cfg = DecayConfig(decay_rate=1.0 / 40.0, dim=d)
-        reps = rng.normal(size=(n, d))
-        times = np.sort(rng.uniform(0.0, 120.0, size=500))
-        events = tuple(ev(int(rng.integers(0, n)), int(rng.integers(0, n)), float(t))
-                       for t in times)
+        cfg = DecayConfig(decay_rate=1.0 / 40.0, dim=reps.shape[1])
         batch = EventBatch(events, 0.0, 120.0)
-        msgs = aggregate_messages(batch, reps, catalog, cfg)
+        msgs = aggregate_messages(batch, reps, catalog, cfg, include_features=include_features,
+                                  include_role=include_role, weighted=weighted)
 
-        p = np.zeros((n, d + n + 1))
+        def incidence(other, role):
+            parts = [reps[other]]
+            if include_features:
+                parts.append(catalog.features[other])
+            if include_role:
+                parts.append([role])
+            return np.concatenate(parts)
+
+        width = reps.shape[1] + (n if include_features else 0) + (1 if include_role else 0)
+        p = np.zeros((n, width))
         q = np.zeros(n)
         for e in events:  # apply the definition one incidence at a time
-            w = math.exp(-cfg.decay_rate * (120.0 - e.timestamp))
-            p[e.origin] += w * np.concatenate([reps[e.destination],
-                                               catalog.features[e.destination], [1.0]])
+            w = math.exp(-cfg.decay_rate * (120.0 - e.timestamp)) if weighted else 1.0
+            p[e.origin] += w * incidence(e.destination, 1.0)
             q[e.origin] += w
-            p[e.destination] += w * np.concatenate([reps[e.origin],
-                                                    catalog.features[e.origin], [-1.0]])
+            p[e.destination] += w * incidence(e.origin, -1.0)
             q[e.destination] += w
+        assert msgs.p.shape == p.shape
         assert np.allclose(msgs.p, p, rtol=1e-12, atol=1e-12)
         assert np.allclose(msgs.q, q, rtol=1e-12, atol=1e-12)
 

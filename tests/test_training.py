@@ -1,11 +1,13 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from odcast.autodiff import Tensor
-from odcast.errors import (ChecksumMismatch, EmptyTrainSplit, IoError, ShapeError,
-                           VersionMismatch)
+from odcast.errors import (ChecksumMismatch, EmptyTrainSplit, IoError, OdcastError,
+                           ShapeError, VersionMismatch)
 from odcast.events import TransactionEvent, NodeCatalog
 from odcast.model import HyperParams, init_params
 from odcast.training import (AdamState, EarlyStopper, Splits, TrainConfig, adam_step,
@@ -245,3 +247,42 @@ class TestCheckpoints:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             load_checkpoint(tmp_path / "nope.ckpt")
+
+    def test_manifest_with_legacy_cap_field_loads(self, tmp_path):
+        params, _, hyper = self.roundtrip(tmp_path)
+        path = tmp_path / "model.ckpt"
+        blob = path.read_bytes()
+        manifest_end = 16 + struct.unpack_from("<I", blob, 12)[0]
+        manifest = json.loads(blob[16:manifest_end])
+        manifest["hyper"]["cap"] = 200_000
+        raw = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        path.write_bytes(blob[:12] + struct.pack("<I", len(raw)) + raw + blob[manifest_end:])
+        loaded, _, hyper2 = load_checkpoint(path)
+        assert hyper2 == hyper
+        for (name, a), (_, b) in zip(params.named_tensors(), loaded.named_tensors()):
+            assert np.array_equal(a.data, b.data), name
+
+    def test_every_header_and_manifest_bit_flip_and_truncation(self, tmp_path):
+        hyper = small_hyper(n=3)
+        opt = AdamState(lr=0.005, step_count=3)
+        opt.m["b"], opt.v["b"] = np.full(2, 0.25), np.full(2, 0.5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(hyper, 0), opt, hyper, path)
+        blob = path.read_bytes()
+        manifest_end = 16 + struct.unpack_from("<I", blob, 12)[0]
+        corruptions = [blob[:length] for length in range(len(blob))]
+        for pos in range(manifest_end):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[pos] ^= 1 << bit
+                corruptions.append(bytes(flipped))
+        escapes = []
+        for corrupt in corruptions:
+            path.write_bytes(corrupt)
+            try:
+                load_checkpoint(path)
+            except OdcastError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - every other class is a finding
+                escapes.append(type(exc).__name__)
+        assert escapes == []
