@@ -4,9 +4,11 @@ A :class:`Tensor` records the operation that produced it together with
 vector-Jacobian closures for its parents; :func:`backward` replays the tape
 in reverse topological order.  The op set is deliberately small (matrix
 multiply, transpose, concat, split, elementwise add/mul, scalar scale, exp,
-rectifier, softmax over an axis, sum over an axis, mean, square) and there
-is no general broadcasting; the single allowed shape mix is adding a length-m
-vector to every row of an (n, m) matrix, which is what bias terms need.
+rectifier, softmax over an axis, sum over an axis, mean, square, and the
+rectified pair sum of two (n, m) matrices over all n^2 ordered row pairs)
+and there is no general broadcasting; the single allowed shape mix in
+``add`` is a length-m vector added to every row of an (n, m) matrix, which
+is what bias terms need.
 
 Every forward value and every gradient is checked for NaN/Inf and aborts
 with diagnostics when one appears.
@@ -104,7 +106,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g: np.ndarray):
-        return g @ b.data.T, a.data.T @ g
+        # A constant operand gets no gradient, so its product is skipped.
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _make(out, (a, b), vjp, "matmul")
 
@@ -126,6 +130,28 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise ShapeError(f"add of {a.data.shape} and {b.data.shape}")
     return _make(a.data + b.data, (a, b), vjp, "add")
+
+
+def pair_sum_relu(a: Tensor, b: Tensor) -> Tensor:
+    """Rectified sums of all ordered row pairs: row ``i*n + j`` is ``relu(a[i] + b[j])``.
+
+    Fused so that a call allocates one (n^2, m) array, not two.  Freeing
+    several such arrays per forecast pushed the heap past glibc's trim
+    threshold in some runs and not others, and the memory was then faulted
+    in again on every call.
+    """
+    if a.data.ndim != 2 or a.data.shape != b.data.shape:
+        raise ShapeError(f"pair_sum_relu of {a.data.shape} and {b.data.shape}")
+    n, m = a.data.shape
+    out = a.data[:, None, :] + b.data[None, :, :]
+    np.maximum(out, 0.0, out=out)
+    out = out.reshape(n * n, m)
+
+    def vjp(g: np.ndarray):
+        pairs = (g * (out > 0.0)).reshape(n, n, m)  # derivative at exactly 0 is 0
+        return pairs.sum(axis=1), pairs.sum(axis=0)
+
+    return _make(out, (a, b), vjp, "pair_sum_relu")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

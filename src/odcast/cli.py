@@ -140,6 +140,14 @@ def _load_model_stream(rc: RunConfig):
     return params, hyper, events, catalog
 
 
+def _walk_t0(rc: RunConfig, events) -> float | None:
+    """``--t0`` for a walk over the whole stream, which must not start after its first event."""
+    t0 = rc.get("t0", None, float)
+    if t0 is not None and events and events[0].timestamp < t0:
+        raise UsageError(f"--t0 {t0!r} is after the first event (t={events[0].timestamp!r})")
+    return t0
+
+
 def _synth_config(rc: RunConfig) -> SynthConfig:
     profile = rc.file.get("profile")
     kwargs = {}
@@ -234,7 +242,7 @@ def cmd_predict(args) -> int:
         raise UsageError(f"--cap must be >= 1, got {cap}")
     out = Path(rc.get("out", "predictions.csv"))
     predictions = evaluation.predict_walk(params, events, catalog, hyper,
-                                          t0=rc.get("t0", None, float), cap=cap)
+                                          t0=_walk_t0(rc, events), cap=cap)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     evaluation.write_predictions_csv(predictions, catalog, out)
@@ -284,7 +292,7 @@ def cmd_export_reps(args) -> int:
             raise UsageError(f"node {node} out of range 0..{hyper.n - 1}")
     out = rc.get("out", "representations.csv")
     evaluation.export_representations(params, events, catalog, hyper, nodes, out,
-                                      t0=rc.get("t0", None, float))
+                                      t0=_walk_t0(rc, events))
     print(f"export-reps: {len(nodes)} nodes -> {out}")
     return 0
 
@@ -297,7 +305,7 @@ def cmd_export_relations(args) -> int:
     out = Path(rc.get("out", "relations"))
     out.mkdir(parents=True, exist_ok=True)
     relations = evaluation.final_relations(params, events, catalog, hyper,
-                                           t0=rc.get("t0", None, float))
+                                           t0=_walk_t0(rc, events))
     write_relation_csv(relations, "message", out / "message_weights.csv")
     write_relation_csv(relations, "fusion", out / "fusion_weights.csv")
     print(f"export-relations: {relations.heads} heads -> {out}")

@@ -271,16 +271,21 @@ def write_predictions_csv(predictions: Sequence[WindowPrediction], catalog: Node
                           path, include_actual: bool = True) -> None:
     """Prediction dump: ``origin,destination,window_start,window_end,predicted,actual``."""
     include_actual = include_actual and all(p.actual is not None for p in predictions)
+    prefixes: dict[int, list[str]] = {}  # node count -> the "origin,destination," cells
     with open(path, "w", encoding="utf-8", newline="") as fh:
         header = "origin,destination,window_start,window_end,predicted"
         fh.write(header + (",actual\n" if include_actual else "\n"))
         for p in predictions:
             n = p.predicted.shape[0]
-            for i in range(n):
-                for j in range(n):
-                    row = (f"{catalog.name_of(i)},{catalog.name_of(j)},"
-                           f"{p.window_start!r},{p.window_end!r},"
-                           f"{float(p.predicted[i, j])!r}")
-                    if include_actual:
-                        row += f",{float(p.actual[i, j])!r}"
-                    fh.write(row + "\n")
+            if n not in prefixes:
+                names = [catalog.name_of(i) for i in range(n)]
+                prefixes[n] = [f"{o},{d}," for o in names for d in names]
+            window = f"{p.window_start!r},{p.window_end!r},"
+            predicted = np.asarray(p.predicted, dtype=float).ravel().tolist()
+            if include_actual:
+                actual = np.asarray(p.actual, dtype=float).ravel().tolist()
+                rows = [f"{pre}{window}{x!r},{y!r}\n"
+                        for pre, x, y in zip(prefixes[n], predicted, actual)]
+            else:
+                rows = [f"{pre}{window}{x!r}\n" for pre, x in zip(prefixes[n], predicted)]
+            fh.write("".join(rows))

@@ -16,9 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -128,17 +129,37 @@ class NodeCatalog:
         return self.names[index] if self.names is not None else str(index)
 
 
-def _open_text(source: str | Path | IO) -> IO[str]:
-    if isinstance(source, (str, Path)):
+@contextmanager
+def _csv_reader(source: str | Path | IO) -> Iterator:
+    """A csv reader over a path, a text stream or a binary stream.
+
+    A file opened here is closed on exit, error or not; a stream passed in
+    stays open.  Bytes that are not UTF-8 raise :class:`MalformedRow`.
+    """
+    is_path = isinstance(source, (str, Path))
+    if is_path:
         try:
-            return open(source, "r", encoding="utf-8", newline="")
+            stream = open(source, "r", encoding="utf-8", newline="")
         except OSError as exc:
             raise IoError(f"cannot read {source}: {exc}") from exc
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
+    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
         hasattr(source, "read") and isinstance(source.read(0), bytes)
     ):
-        return io.TextIOWrapper(source, encoding="utf-8", newline="")
-    return source
+        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    else:
+        stream = source
+    reader = csv.reader(stream)
+    try:
+        yield reader
+    except UnicodeDecodeError as exc:
+        # The decoder reads ahead in blocks, so the bad byte may sit on a later line.
+        raise MalformedRow(reader.line_num + 1,
+                           f"not UTF-8 text at or after this line ({exc.reason})") from None
+    finally:
+        if is_path:
+            stream.close()
+        elif stream is not source:
+            stream.detach()  # hand the caller's binary stream back unclosed
 
 
 def parse_events(source: str | Path | IO, catalog: NodeCatalog) -> list[TransactionEvent]:
@@ -148,35 +169,34 @@ def parse_events(source: str | Path | IO, catalog: NodeCatalog) -> list[Transact
     :class:`UnknownNode`, or :class:`NonMonotonicTimestamp` (all carrying
     the offending 1-based line number where applicable).
     """
-    stream = _open_text(source)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow(1, "missing header line") from None
-    if [h.strip().lower() for h in header] != list(EVENT_HEADER):
-        raise MalformedRow(1, f"expected header {','.join(EVENT_HEADER)}, got {header}")
-
-    events: list[TransactionEvent] = []
-    previous = -math.inf
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise MalformedRow(line, f"expected 3 fields, got {len(row)}")
-        origin = catalog.resolve(row[0].strip())
-        destination = catalog.resolve(row[1].strip())
+    with _csv_reader(source) as reader:
         try:
-            timestamp = float(row[2])
-        except ValueError:
-            raise MalformedRow(line, f"bad timestamp {row[2]!r}") from None
-        if not math.isfinite(timestamp):
-            raise MalformedRow(line, f"non-finite timestamp {row[2]!r}")
-        if timestamp < previous:
-            raise NonMonotonicTimestamp(line, timestamp, previous)
-        previous = timestamp
-        events.append(TransactionEvent(origin, destination, timestamp))
-    return events
+            header = next(reader)
+        except StopIteration:
+            raise MalformedRow(1, "missing header line") from None
+        if [h.strip().lower() for h in header] != list(EVENT_HEADER):
+            raise MalformedRow(1, f"expected header {','.join(EVENT_HEADER)}, got {header}")
+
+        events: list[TransactionEvent] = []
+        previous = -math.inf
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise MalformedRow(line, f"expected 3 fields, got {len(row)}")
+            origin = catalog.resolve(row[0].strip())
+            destination = catalog.resolve(row[1].strip())
+            try:
+                timestamp = float(row[2])
+            except ValueError:
+                raise MalformedRow(line, f"bad timestamp {row[2]!r}") from None
+            if not math.isfinite(timestamp):
+                raise MalformedRow(line, f"non-finite timestamp {row[2]!r}")
+            if timestamp < previous:
+                raise NonMonotonicTimestamp(line, timestamp, previous)
+            previous = timestamp
+            events.append(TransactionEvent(origin, destination, timestamp))
+        return events
 
 
 def write_events_csv(events: Iterable[TransactionEvent], catalog: NodeCatalog,
@@ -203,8 +223,7 @@ def load_catalog(path: str | Path | None, n: int | None = None) -> NodeCatalog:
         if n is None:
             raise ValueError("need either a catalog file or an explicit node count")
         return NodeCatalog(n=n)
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != list(CATALOG_HEADER):
             raise MalformedRow(1, f"expected header {','.join(CATALOG_HEADER)}")
@@ -328,15 +347,17 @@ def od_matrix_series(events: Iterable[TransactionEvent], t0: float, tau: float,
     """OD matrices for ``count`` consecutive windows starting at ``t0``, one pass.
 
     Returns a (count, n, n) array; events outside ``[t0, t0 + count*tau)``
-    are ignored.
+    are ignored.  Window k is ``[t0 + k*tau, t0 + (k+1)*tau)`` with the
+    boundaries computed exactly as :func:`batch_by_window` computes them.
     """
     if n < 1:
         raise ValueError("need at least one node")
     if tau <= 0 or count < 1:
         raise ValueError("tau must be positive and count >= 1")
     origins, dests, times = pack_events(list(events))
-    widx = np.floor((times - t0) / tau).astype(np.int64)
-    keep = (times >= t0) & (widx >= 0) & (widx < count)
+    bounds = t0 + np.arange(count + 1) * tau
+    widx = np.searchsorted(bounds, times, side="right") - 1
+    keep = (widx >= 0) & (widx < count)
     flat = (widx[keep] * n + origins[keep]) * n + dests[keep]
     counts = np.bincount(flat, minlength=count * n * n)
     return counts.reshape(count, n, n).astype(float)

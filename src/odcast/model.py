@@ -290,22 +290,6 @@ def step(bank: MemoryBank, batch: EventBatch, params: ModelParams, hyper: HyperP
     return StepResult(z=z, relations=relations)
 
 
-_PAIR_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _pair_selectors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 matrices mapping node rows to the N^2 ordered-pair rows (i*N + j)."""
-    if n not in _PAIR_CACHE:
-        left = np.zeros((n * n, n))
-        right = np.zeros((n * n, n))
-        for i in range(n):
-            for j in range(n):
-                left[i * n + j, i] = 1.0
-                right[i * n + j, j] = 1.0
-        _PAIR_CACHE[n] = (left, right)
-    return _PAIR_CACHE[n]
-
-
 @dataclass
 class Prediction:
     """Clamped OD matrix for reporting plus the raw pairwise head output."""
@@ -315,12 +299,19 @@ class Prediction:
 
 
 def predict_od(z: Tensor, params: ModelParams) -> Prediction:
-    """Evaluate the pairwise output head densely on all ordered node pairs."""
-    n = z.data.shape[0]
-    left, right = _pair_selectors(n)
-    pairs = ad.concat([ad.matmul(ad.constant(left), z), ad.matmul(ad.constant(right), z)],
-                      axis=1)
-    raw = params.output_mlp(pairs)
+    """Evaluate the pairwise output head densely on all ordered node pairs.
+
+    The head is an MLP over ``[z_i ; z_j]`` for pair row ``i*N + j``.  Its
+    first layer splits into an origin block (which takes the bias) and a
+    destination block, each applied once per node; ``pair_sum_relu`` adds
+    them for every pair and rectifies, so the hidden layer is the only
+    (N^2, d) array a forecast allocates.
+    """
+    n, width = z.data.shape
+    mlp = params.output_mlp
+    w_origin, w_dest = ad.split(ad.transpose(mlp.w1), [width, width], axis=0)
+    hidden = ad.pair_sum_relu(ad.add(ad.matmul(z, w_origin), mlp.b1), ad.matmul(z, w_dest))
+    raw = ad.add(ad.matmul(hidden, ad.transpose(mlp.w2)), mlp.b2)
     return Prediction(matrix=np.maximum(raw.data, 0.0).reshape(n, n), raw=raw)
 
 

@@ -49,7 +49,60 @@ class TestForward:
         assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
 
+class TestPairSumRelu:
+    def test_forward_rows_are_rectified_ordered_pairs(self):
+        a = param([[1.0, -2.0], [3.0, -4.0], [-5.0, 6.0]])
+        b = param([[-10.0, 20.0], [3.0, -40.0], [5.0, 6.0]])
+        out = ad.pair_sum_relu(a, b)
+        assert out.data.shape == (9, 2)
+        for i in range(3):
+            for j in range(3):
+                assert np.array_equal(out.data[i * 3 + j],
+                                      np.maximum(a.data[i] + b.data[j], 0.0))
+        assert np.any(out.data == 0.0) and np.any(out.data > 0.0)
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((3, 2), (2, 2)), ((3, 2), (3, 1)),
+                                                  ((3,), (3,))])
+    def test_shape_error(self, shape_a, shape_b):
+        with pytest.raises(ShapeError):
+            ad.pair_sum_relu(param(np.ones(shape_a)), param(np.ones(shape_b)))
+
+    def test_derivative_zero_at_zero(self):
+        a, b = param([[1.0, 2.0]]), param([[-1.0, -3.0]])
+        backward(ad.tensor_sum(ad.pair_sum_relu(a, b)))
+        assert np.array_equal(a.grad, [[0.0, 0.0]])
+        assert np.array_equal(b.grad, [[0.0, 0.0]])
+
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(8)
+        a, b = param(rng.normal(size=(4, 3)), name="a"), param(rng.normal(size=(4, 3)), name="b")
+        pairs = (a.data[:, None, :] + b.data[None, :, :]).ravel()
+        assert np.abs(pairs).min() > 1e-3  # no kink within the difference step
+        weights = ad.constant(rng.normal(size=(16, 3)))
+
+        def f():
+            return ad.mean(ad.square(ad.mul(ad.pair_sum_relu(a, b), weights)))
+
+        assert fd_check(f, [("a", a), ("b", b)]).passed()
+
+
 class TestBackward:
+    def test_matmul_skips_constant_operand(self):
+        rng = np.random.default_rng(3)
+        w_data, x_data = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+        w, x = param(w_data), ad.constant(x_data)
+        product = ad.matmul(w, x)
+        assert product._vjp(np.ones((3, 2)))[1] is None
+        backward(ad.tensor_sum(ad.square(product)))
+        w_ref, x_ref = param(w_data), param(x_data)
+        backward(ad.tensor_sum(ad.square(ad.matmul(w_ref, x_ref))))
+        assert np.array_equal(w.grad, w_ref.grad)
+        assert x.grad is None
+        v, u = ad.constant(w_data), param(x_data)
+        backward(ad.tensor_sum(ad.square(ad.matmul(v, u))))
+        assert np.array_equal(u.grad, x_ref.grad)
+        assert v.grad is None
+
     def test_add_gradient_is_one(self):
         x, y = param([[1.0, 2.0]]), param([[3.0, 4.0]])
         backward(ad.tensor_sum(ad.add(x, y)))

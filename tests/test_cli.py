@@ -202,11 +202,16 @@ def test_ablation_flag_round_trip(tmp_path, synth_dir):
       "--catalog", "{catalog}", "--cap", "0", "--out", "{tmp}/pred.csv"], 2, "UsageError"),
     (["train", "--config", "{tmp}/dim.json", "--events", "{events}", "--catalog", "{catalog}"],
      2, "UsageError"),
+    (["predict", "--checkpoint", "{checkpoint}", "--events", "{events}",
+      "--catalog", "{catalog}", "--t0", "90000", "--out", "{tmp}/pred.csv"], 2, "UsageError"),
+    (["train", "--events", "{tmp}/latin1.csv", "--n", "4"], 1, "MalformedRow"),
 ], ids=["missing-events", "missing-catalog", "zero-heads", "tau-not-dividing-day",
-        "node-out-of-range", "zero-cap", "non-integer-config-value"])
+        "node-out-of-range", "zero-cap", "non-integer-config-value", "t0-after-first-event",
+        "non-utf8-events"])
 def test_bad_input_is_one_line_error(tmp_path, capsys, synth_dir, trained_dir, argv, code,
                                      error):
     (tmp_path / "dim.json").write_text(json.dumps({"dim": "abc"}))
+    (tmp_path / "latin1.csv").write_bytes(b"origin,destination,timestamp\n0,1,1.0\n\xe9,1,2.0\n")
     paths = {"tmp": tmp_path, "events": synth_dir / "events.csv",
              "catalog": synth_dir / "catalog.csv", "checkpoint": trained_dir / "checkpoint.bin"}
     capsys.readouterr()

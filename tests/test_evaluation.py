@@ -231,6 +231,32 @@ class TestPredictWalk:
         assert lines[0] == "origin,destination,window_start,window_end,predicted,actual"
         assert len(lines) == 1 + 3 * 9
 
+    @pytest.mark.parametrize("names", [None, ("north", "east", "Zoë")])
+    @pytest.mark.parametrize("include_actual", [True, False])
+    def test_csv_bytes_match_per_cell_writer(self, tmp_path, names, include_actual):
+        hyper, params, _ = tiny_model()
+        catalog = NodeCatalog(n=3, names=names)
+        preds = predict_walk(params, tiny_stream(3, 4, seed=6), catalog, hyper, t0=0.0,
+                             until=240.0, cap=1)
+        preds[0].predicted[0, 1] = -0.0
+        preds[1].predicted[2, 2] = 1e-300
+        path, ref = tmp_path / "pred.csv", tmp_path / "ref.csv"
+        write_predictions_csv(preds, catalog, path, include_actual=include_actual)
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            fh.write("origin,destination,window_start,window_end,predicted"
+                     + (",actual\n" if include_actual else "\n"))
+            for p in preds:
+                for i in range(3):
+                    for j in range(3):
+                        row = (f"{catalog.name_of(i)},{catalog.name_of(j)},"
+                               f"{p.window_start!r},{p.window_end!r},"
+                               f"{float(p.predicted[i, j])!r}")
+                        if include_actual:
+                            row += f",{float(p.actual[i, j])!r}"
+                        fh.write(row + "\n")
+        assert len(preds) > 4
+        assert path.read_bytes() == ref.read_bytes()
+
 
 class TestExports:
     def test_idle_node_rows_repeat(self, tmp_path):

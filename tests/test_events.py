@@ -1,4 +1,6 @@
+import gc
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +63,37 @@ class TestParseEvents:
         raw = b"origin,destination,timestamp\r\nA,B,10.0\r\nB,A,11.5\r\n"
         events = parse_events(io.BytesIO(raw), make_catalog_ab())
         assert events == [ev(0, 1, 10.0), ev(1, 0, 11.5)]
+
+    def test_non_utf8_bytes_are_a_malformed_row(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"origin,destination,timestamp\nA,B,1.0\n\xe9,B,2.0\n")
+        with pytest.raises(MalformedRow, match="UTF-8"):
+            parse_events(path, make_catalog_ab())
+        catalog_path = tmp_path / "latin1_catalog.csv"
+        catalog_path.write_bytes(b"name,index\nA,0\n\xe9,1\n")
+        with pytest.raises(MalformedRow, match="UTF-8"):
+            load_catalog(catalog_path)
+
+    def test_caller_streams_stay_open(self):
+        for src in (io.StringIO("origin,destination,timestamp\nA,B,1.0\n"),
+                    io.BytesIO(b"origin,destination,timestamp\nA,B,1.0\n")):
+            parse_events(src, make_catalog_ab())
+            gc.collect()
+            assert not src.closed
+
+    @pytest.mark.parametrize("body", ["A,B,1.0\nB,A,2.0\n", "A,B,1.0\nA,B\n",
+                                      "A,B,2.0\nA,B,1.0\n"])
+    def test_parse_from_path_leaves_no_open_file(self, tmp_path, body):
+        path = tmp_path / "events.csv"
+        path.write_text("origin,destination,timestamp\n" + body, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                parse_events(path, make_catalog_ab())
+            except (MalformedRow, NonMonotonicTimestamp):
+                pass
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_index_mode_without_names(self):
         src = io.StringIO("origin,destination,timestamp\n0,1,3.5\n1,1,4.0\n")
@@ -225,6 +258,29 @@ class TestOdMatrix:
         assert series.sum() == sum(t0 <= e.timestamp < t0 + count * tau for e in events)
         for k in range(count):
             assert np.array_equal(series[k], build_od_matrix(events, t0 + k * tau, tau, n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(t0=st.integers(0, 10_000), tau=st.integers(1, 5_000), count=st.integers(1, 5),
+           data=st.data())
+    def test_series_cuts_where_batch_by_window_cuts(self, t0, tau, count, data):
+        # One-decimal t0 and tau are not exact in binary, so t0 + k*tau is a
+        # rounded value; events sit on it and on its two float neighbours.
+        t0, tau, n = t0 / 10.0, tau / 10.0, 3
+        node = st.integers(0, n - 1)
+        stamps = []
+        for k in range(count + 1):
+            bound = t0 + k * tau
+            stamps += [np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)]
+        end = t0 + count * tau
+        events = [ev(data.draw(node), data.draw(node), float(t))
+                  for t in sorted(stamps) if t0 <= t < end]
+        series = od_matrix_series(events, t0, tau, count, n)
+        batches = batch_by_window(events, t0, tau, until=end)
+        for k in range(count):
+            counts = np.zeros((n, n))
+            for e in batches[k].events:
+                counts[e.origin, e.destination] += 1.0
+            assert np.array_equal(series[k], counts)
 
 
 class TestEventBatchType:

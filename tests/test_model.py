@@ -282,6 +282,41 @@ class TestPredictOd:
                 assert pred.raw.data[i * 4 + j, 0] == pytest.approx(raw, rel=1e-12)
                 assert pred.matrix[i, j] == pytest.approx(max(raw, 0.0), rel=1e-12)
 
+    def test_matches_selector_formulation(self):
+        # The head as an MLP on the explicit (N^2, 6d) pair rows [z_i ; z_j],
+        # gathered by 0/1 selector matrices: same values, same gradients.
+        n = 7
+        hyper = HyperParams(n=n, dim=3, msg_dim=3, heads=1, rel_dim=1, n_clusters=3,
+                            tau=30.0, decay_rate=0.01)
+        params = init_params(hyper, 11)
+        mlp = params.output_mlp
+        rng = np.random.default_rng(12)
+        z = Tensor(rng.normal(size=(n, 9)), requires_grad=True)
+        truth = rng.poisson(0.5, size=(n, n)).astype(float)
+        left, right = np.zeros((n * n, n)), np.zeros((n * n, n))
+        for i in range(n):
+            for j in range(n):
+                left[i * n + j, i] = right[i * n + j, j] = 1.0
+
+        def selector_raw():
+            pairs = ad.concat([ad.matmul(ad.constant(left), z),
+                               ad.matmul(ad.constant(right), z)], axis=1)
+            return mlp(pairs)
+
+        tensors = [z, mlp.w1, mlp.b1, mlp.w2, mlp.b2]
+        results = []
+        for raw_of in (lambda: predict_od(z, params).raw, selector_raw):
+            zero_grads(tensors)
+            raw = raw_of()
+            backward(od_loss(raw, truth))
+            results.append((raw.data.copy(), [grad_of(t).copy() for t in tensors]))
+        (raw, grads), (raw_ref, grads_ref) = results
+        assert raw.shape == (n * n, 1)
+        assert np.allclose(raw, raw_ref, rtol=1e-12, atol=1e-14)
+        for g, g_ref in zip(grads, grads_ref):
+            assert np.abs(g_ref).max() > 0.0
+            assert np.allclose(g, g_ref, rtol=1e-10, atol=1e-13)
+
     def test_clamped_nonnegative(self):
         hyper = tiny_hyper()
         params = init_params(hyper, 5)
