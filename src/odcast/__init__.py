@@ -5,7 +5,7 @@ memory vectors per traffic node plus learned cluster/area summaries, and
 predicts the next window's full origin-destination demand matrix.
 """
 
-from .events import (EventBatch, NodeCatalog, TransactionEvent, batch_by_cap,
+from .events import (EventBatch, EventStream, NodeCatalog, TransactionEvent, batch_by_cap,
                      batch_by_window, build_od_matrix, default_t0, load_catalog,
                      parse_events, write_catalog_csv, write_events_csv)
 from .memory import (DEFAULT_DECAY_RATE, DecayConfig, StationMemory, StationMessage,
@@ -20,9 +20,9 @@ from .evaluation import MetricReport, compute_metrics, evaluate, ha_baseline
 __version__ = "0.1.0"
 
 __all__ = [
-    "EventBatch", "NodeCatalog", "TransactionEvent", "batch_by_cap", "batch_by_window",
-    "build_od_matrix", "default_t0", "load_catalog", "parse_events", "write_catalog_csv",
-    "write_events_csv", "DEFAULT_DECAY_RATE", "DecayConfig", "StationMemory",
+    "EventBatch", "EventStream", "NodeCatalog", "TransactionEvent", "batch_by_cap",
+    "batch_by_window", "build_od_matrix", "default_t0", "load_catalog", "parse_events",
+    "write_catalog_csv", "write_events_csv", "DEFAULT_DECAY_RATE", "DecayConfig", "StationMemory",
     "StationMessage", "StationMessages", "aggregate_messages", "event_representation",
     "oracle_representation", "read_representation", "update_station_memory",
     "HyperParams", "MemoryBank", "ModelParams", "Prediction", "init_params", "od_loss",

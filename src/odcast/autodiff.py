@@ -284,17 +284,19 @@ def backward(loss: Tensor) -> None:
         return
     order = _topo_order(loss)
     loss.grad = np.ones(())
+    # Every contribution into a node arrives before the node is popped.  A grad
+    # may alias a VJP output or a read-only view, so it is never updated in place.
     for node in reversed(order):
-        if node.grad is None or node._vjp is None:
+        if node.grad is None:
+            continue
+        _assert_finite(node.grad, f"gradient into {node.name or 'tensor'}")
+        if node._vjp is None:
             continue
         contributions = node._vjp(node.grad)
         for parent, contribution in zip(node._parents, contributions):
             if not parent.requires_grad or contribution is None:
                 continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad = parent.grad + contribution
-            _assert_finite(parent.grad, f"gradient into {parent.name or 'tensor'}")
+            parent.grad = contribution if parent.grad is None else parent.grad + contribution
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -14,24 +14,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import FdReport, fd_check
-from .events import EventBatch, NodeCatalog, TransactionEvent, batch_by_window, pack_events
-from .memory import DecayConfig, aggregate_messages, oracle_representation_packed, update_stations
+from .events import EventBatch, EventStream, NodeCatalog, batch_by_window
+from .memory import DecayConfig, aggregate_messages, oracle_representation, update_stations
 from .model import HyperParams, MemoryBank, init_params, od_loss, predict_od, step
 from .multilevel import LevelState
 
 
-def random_stream(n_events: int, n_nodes: int, horizon: float, seed: int,
-                  allow_self_loops: bool = True) -> list[TransactionEvent]:
+def random_stream(n_events: int, n_nodes: int, horizon: float, seed: int) -> EventStream:
     """Uniformly random endpoints, sorted uniform timestamps."""
     rng = np.random.default_rng(seed)
     times = np.sort(rng.uniform(0.0, horizon, size=n_events))
     origins = rng.integers(0, n_nodes, size=n_events)
-    dests = rng.integers(0, n_nodes, size=n_events)
-    if not allow_self_loops:
-        same = origins == dests
-        dests[same] = (dests[same] + 1) % n_nodes
-    return [TransactionEvent(int(o), int(d), float(t))
-            for o, d, t in zip(origins, dests, times)]
+    return EventStream(origins, rng.integers(0, n_nodes, size=n_events), times)
 
 
 @dataclass
@@ -61,7 +55,6 @@ def oracle_equivalence_check(n_events: int = 10_000, n_nodes: int = 20, dim: int
     rng = np.random.default_rng(seed)
     horizon = 3600.0 * n_batches / 2.0
     events = random_stream(n_events, n_nodes, horizon, seed + 1)
-    packed = pack_events(events)
     frozen = rng.normal(size=(n_nodes, dim))
     cfg = DecayConfig(decay_rate=math.log(2.0) / 1800.0, dim=dim)
     catalog = NodeCatalog(n=n_nodes)
@@ -78,8 +71,8 @@ def oracle_equivalence_check(n_events: int = 10_000, n_nodes: int = 20, dim: int
         a, last = a_new.data, t
         online = a / b[:, None]
         for node in range(n_nodes):
-            closed = oracle_representation_packed(node, packed, t, frozen, cfg,
-                                                  initial_mass_time=0.0)
+            closed = oracle_representation(node, events, t, frozen, cfg,
+                                           initial_mass_time=0.0)
             scale = max(float(np.max(np.abs(closed))), 1e-30)
             worst = max(worst, float(np.max(np.abs(online[node] - closed))) / scale)
     return OracleCheckResult(max_rel_error=worst, batches=len(batches),
@@ -100,9 +93,8 @@ def toy_instance(seed: int = 0):
     station_a = 0.5 * rng.normal(size=(hyper.n, hyper.dim))
     station_b = rng.uniform(1.0, 2.0, size=hyper.n)
     times = np.sort(rng.uniform(0.0, 60.0, size=6))
-    events = tuple(TransactionEvent(int(rng.integers(0, 3)), int(rng.integers(0, 3)),
-                                    float(t)) for t in times)
-    batch = EventBatch(events, 0.0, 60.0)
+    ends = rng.integers(0, 3, size=(6, 2))  # (origin, destination) rows
+    batch = EventBatch(EventStream(ends[:, 0], ends[:, 1], times), 0.0, 60.0)
     truth = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
     return hyper, catalog, params, station_a, station_b, batch, truth
 

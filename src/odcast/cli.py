@@ -143,8 +143,8 @@ def _load_model_stream(rc: RunConfig):
 def _walk_t0(rc: RunConfig, events) -> float | None:
     """``--t0`` for a walk over the whole stream, which must not start after its first event."""
     t0 = rc.get("t0", None, float)
-    if t0 is not None and events and events[0].timestamp < t0:
-        raise UsageError(f"--t0 {t0!r} is after the first event (t={events[0].timestamp!r})")
+    if t0 is not None and len(events) and events.times[0] < t0:
+        raise UsageError(f"--t0 {t0!r} is after the first event (t={float(events.times[0])!r})")
     return t0
 
 

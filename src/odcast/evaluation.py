@@ -9,9 +9,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from .errors import LengthMismatch
-from .events import (EventBatch, NodeCatalog, TransactionEvent, batch_by_cap,
-                     batch_by_window, build_od_matrix, default_t0, od_matrix_series,
-                     pack_events)
+from .events import (EventBatch, Events, EventStream, NodeCatalog, batch_by_cap,
+                     batch_by_window, build_od_matrix, default_t0, od_matrix_series)
 from .model import HyperParams, MemoryBank, ModelParams, StepResult, predict_od, step
 from .multilevel import RelationTensors
 
@@ -148,20 +147,22 @@ class Replay:
     ``(batch, step result, bank)`` after every step.
     """
 
-    def __init__(self, params: ModelParams, events: Sequence[TransactionEvent],
-                 catalog: NodeCatalog, hyper: HyperParams, t0: float | None = None,
+    def __init__(self, params: ModelParams, events: Events, catalog: NodeCatalog,
+                 hyper: HyperParams, t0: float | None = None,
                  until: float | None = None, cap: int | None = None,
                  windows: int | None = None):
         self.params, self.catalog, self.hyper = params, catalog, hyper
+        stream = EventStream.of(events)
         tau = hyper.tau
-        self.t0 = default_t0(events, tau) if t0 is None else t0
+        self.t0 = default_t0(stream, tau) if t0 is None else t0
         if windows is not None:
             until = self.t0 + windows * tau
-            events = [ev for ev in events if self.t0 <= ev.timestamp < until]
+            lo, hi = np.searchsorted(stream.times, [self.t0, until], side="left")
+            stream = stream[lo:hi]
         if cap is None:
-            self.batches = batch_by_window(events, self.t0, tau, until=until)
+            self.batches = batch_by_window(stream, self.t0, tau, until=until)
         else:
-            self.batches = batch_by_cap(events, self.t0, tau, cap, until=until)
+            self.batches = batch_by_cap(stream, self.t0, tau, cap, until=until)
 
     def __iter__(self) -> Iterator[tuple[EventBatch, StepResult, MemoryBank]]:
         bank = MemoryBank.initial(self.params, self.hyper, self.t0)
@@ -169,13 +170,14 @@ class Replay:
             yield batch, step(bank, batch, self.params, self.hyper, self.catalog), bank
 
 
-def evaluate(params: ModelParams, events: Sequence[TransactionEvent], catalog: NodeCatalog,
+def evaluate(params: ModelParams, events: Events, catalog: NodeCatalog,
              hyper: HyperParams, splits: "Splits", t0: float | None = None) -> EvalResult:
     """Chronological walk over train+validation+test, reporting on test targets.
 
     Memories carry over between the phases exactly as a deployed system
     would run; no parameters are updated anywhere.
     """
+    events = EventStream.of(events)
     tau = hyper.tau
     total = splits.total
     # The last window is only a target: walk the ones before it.
@@ -201,8 +203,8 @@ def evaluate(params: ModelParams, events: Sequence[TransactionEvent], catalog: N
     )
 
 
-def predict_walk(params: ModelParams, events: Sequence[TransactionEvent],
-                 catalog: NodeCatalog, hyper: HyperParams, t0: float | None = None,
+def predict_walk(params: ModelParams, events: Events, catalog: NodeCatalog,
+                 hyper: HyperParams, t0: float | None = None,
                  until: float | None = None, cap: int | None = None,
                  with_actual: bool = True) -> list[WindowPrediction]:
     """One prediction per processed batch, each for the next tau seconds.
@@ -211,26 +213,26 @@ def predict_walk(params: ModelParams, events: Sequence[TransactionEvent],
     memories advance by varied timespans and predictions densify at peak
     (each sub-batch yields a prediction for [window_end, window_end + tau)).
     """
+    stream = EventStream.of(events)
     tau = hyper.tau
-    replay = Replay(params, events, catalog, hyper, t0, until, cap)
+    replay = Replay(params, stream, catalog, hyper, t0, until, cap)
     if with_actual:
-        # One bisection of the (validated, sorted) stream bounds every target
-        # window.  side="right" keeps an event at exactly t + tau in the slice;
+        # One bisection of the sorted stream bounds every target window.
+        # side="right" keeps an event at exactly t + tau in the slice;
         # build_od_matrix applies the exact half-open test to it.
-        _, _, times = pack_events(events)
         ends = np.array([batch.window_end for batch in replay.batches])
-        los = np.searchsorted(times, ends, side="left")
-        his = np.searchsorted(times, ends + tau, side="right")
+        los = np.searchsorted(stream.times, ends, side="left")
+        his = np.searchsorted(stream.times, ends + tau, side="right")
     out: list[WindowPrediction] = []
     for k, (batch, result, _) in enumerate(replay):
         t = batch.window_end
-        actual = (build_od_matrix(events[los[k]:his[k]], t, tau, hyper.n)
+        actual = (build_od_matrix(stream[los[k]:his[k]], t, tau, hyper.n)
                   if with_actual else None)
         out.append(WindowPrediction(t, t + tau, predict_od(result.z, params).matrix, actual))
     return out
 
 
-def final_relations(params: ModelParams, events: Sequence[TransactionEvent],
+def final_relations(params: ModelParams, events: Events,
                     catalog: NodeCatalog, hyper: HyperParams,
                     t0: float | None = None) -> RelationTensors:
     """Replay the stream and return the relation tensors of the last step."""
@@ -245,9 +247,9 @@ def final_relations(params: ModelParams, events: Sequence[TransactionEvent],
     return relations
 
 
-def export_representations(params: ModelParams, events: Sequence[TransactionEvent],
-                           catalog: NodeCatalog, hyper: HyperParams, nodes: Sequence[int],
-                           path, t0: float | None = None, until: float | None = None) -> None:
+def export_representations(params: ModelParams, events: Events, catalog: NodeCatalog,
+                           hyper: HyperParams, nodes: Sequence[int], path,
+                           t0: float | None = None, until: float | None = None) -> None:
     """Dump each tracked node's representation after every batch.
 
     Rows are ``timestamp,node,dim,value`` with timestamp the batch end; the

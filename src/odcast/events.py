@@ -7,8 +7,10 @@ File formats owned by this module:
   timestamp is a decimal number of seconds.  UTF-8, LF or CRLF.
 * catalog CSV: header line ``name,index``.  When no catalog file is given,
   node identifiers are taken to be the indices themselves.
-* packed events: :func:`pack_events` is the one conversion of an event
-  sequence into ``(origins, destinations, timestamps)`` arrays.
+
+In memory the stream is one :class:`EventStream` of three columns, checked
+once when built; batches are index ranges into it.  :meth:`EventStream.of`
+is the one conversion from :class:`TransactionEvent` rows.
 """
 
 from __future__ import annotations
@@ -42,6 +44,62 @@ class TransactionEvent:
     timestamp: float
 
 
+@dataclass(frozen=True, eq=False)
+class EventStream:
+    """A time-ordered event stream as three read-only columns.
+
+    ``origins`` and ``destinations`` are int64 node indices and ``times``
+    float64 seconds, finite and non-decreasing.  Slicing by an index range
+    gives a stream of views into the same columns.
+    """
+
+    origins: np.ndarray
+    destinations: np.ndarray
+    times: np.ndarray
+
+    def __post_init__(self):
+        origins = np.array(self.origins, dtype=np.int64)
+        destinations = np.array(self.destinations, dtype=np.int64)
+        times = np.array(self.times, dtype=np.float64)
+        if times.ndim != 1 or origins.shape != times.shape or destinations.shape != times.shape:
+            raise ValueError("origins, destinations and times must be 1-D of one length")
+        if not np.isfinite(times).all():
+            raise ValueError("event times must be finite")
+        drops = np.flatnonzero(times[1:] < times[:-1])
+        if drops.size:
+            raise NonMonotonicTimestamp(0, float(times[drops[0] + 1]), float(times[drops[0]]))
+        self._hold(origins, destinations, times)
+
+    def _hold(self, *columns: np.ndarray) -> None:
+        for name, column in zip(("origins", "destinations", "times"), columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def of(cls, events: Events) -> EventStream:
+        """``events`` as a stream: a stream passes through, rows are converted."""
+        if isinstance(events, EventStream):
+            return events
+        return cls([ev.origin for ev in events], [ev.destination for ev in events],
+                   [ev.timestamp for ev in events])
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, rows: slice) -> EventStream:
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError("an event stream is sliced by an index range")
+        view = object.__new__(EventStream)  # a range of a valid stream needs no check
+        view._hold(self.origins[rows], self.destinations[rows], self.times[rows])
+        return view
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventStream):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("origins", "destinations", "times"))
+
+
 @dataclass(frozen=True)
 class EventBatch:
     """A contiguous slice of the event stream with its time window.
@@ -50,27 +108,28 @@ class EventBatch:
     reference time used for decay weighting.  All event timestamps satisfy
     ``window_start <= t <= window_end``.  Zero-width batches
     (``window_start == window_end``) can only arise from cap splitting at
-    tied timestamps.
+    tied timestamps.  Events given as rows are stored as a stream.
     """
 
-    events: tuple[TransactionEvent, ...]
+    events: EventStream
     window_start: float
     window_end: float
 
     def __post_init__(self):
+        object.__setattr__(self, "events", EventStream.of(self.events))
         if not (self.window_start <= self.window_end):
-            raise ValueError(
-                f"window_start {self.window_start} > window_end {self.window_end}"
-            )
-        for ev in self.events:
-            if not (self.window_start <= ev.timestamp <= self.window_end):
-                raise ValueError(
-                    f"event at t={ev.timestamp} outside window "
-                    f"[{self.window_start}, {self.window_end}]"
-                )
+            raise ValueError(f"window_start {self.window_start} > window_end {self.window_end}")
+        times = self.events.times  # sorted: the range check is on its ends
+        if len(times) and not (self.window_start <= times[0] and times[-1] <= self.window_end):
+            raise ValueError(f"events at t={float(times[0])!r}..{float(times[-1])!r} outside "
+                             f"window [{self.window_start}, {self.window_end}]")
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+#: A stream, or rows for :meth:`EventStream.of`: what the stream readers accept.
+Events = EventStream | Sequence[TransactionEvent]
 
 
 @dataclass
@@ -130,11 +189,11 @@ class NodeCatalog:
 
 
 @contextmanager
-def _csv_reader(source: str | Path | IO) -> Iterator:
-    """A csv reader over a path, a text stream or a binary stream.
+def _csv_rows(source: str | Path | IO, header: tuple[str, ...]) -> Iterator:
+    """The numbered non-blank rows under ``header`` of a CSV path, text or binary stream.
 
-    A file opened here is closed on exit, error or not; a stream passed in
-    stays open.  Bytes that are not UTF-8 raise :class:`MalformedRow`.
+    A file opened here is closed on exit, error or not; a stream passed in stays
+    open.  A wrong header, non-UTF-8 bytes and csv errors raise :class:`MalformedRow`.
     """
     is_path = isinstance(source, (str, Path))
     if is_path:
@@ -150,11 +209,16 @@ def _csv_reader(source: str | Path | IO) -> Iterator:
         stream = source
     reader = csv.reader(stream)
     try:
-        yield reader
+        first = next(reader, None)
+        if first is None or [h.strip().lower() for h in first] != list(header):
+            raise MalformedRow(1, f"expected header {','.join(header)}, got {first}")
+        yield ((line, row) for line, row in enumerate(reader, start=2) if row)
     except UnicodeDecodeError as exc:
         # The decoder reads ahead in blocks, so the bad byte may sit on a later line.
         raise MalformedRow(reader.line_num + 1,
                            f"not UTF-8 text at or after this line ({exc.reason})") from None
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
     finally:
         if is_path:
             stream.close()
@@ -162,59 +226,50 @@ def _csv_reader(source: str | Path | IO) -> Iterator:
             stream.detach()  # hand the caller's binary stream back unclosed
 
 
-def parse_events(source: str | Path | IO, catalog: NodeCatalog) -> list[TransactionEvent]:
-    """Parse an event CSV into a validated, time-ordered event list.
+def parse_events(source: str | Path | IO, catalog: NodeCatalog) -> EventStream:
+    """Parse an event CSV into a validated, time-ordered event stream.
 
-    Events are returned in file order.  Raises :class:`MalformedRow`,
+    Events keep their file order.  Raises :class:`MalformedRow`,
     :class:`UnknownNode`, or :class:`NonMonotonicTimestamp` (all carrying
     the offending 1-based line number where applicable).
     """
-    with _csv_reader(source) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(1, "missing header line") from None
-        if [h.strip().lower() for h in header] != list(EVENT_HEADER):
-            raise MalformedRow(1, f"expected header {','.join(EVENT_HEADER)}, got {header}")
-
-        events: list[TransactionEvent] = []
-        previous = -math.inf
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    origins, destinations, times = [], [], []
+    with _csv_rows(source, EVENT_HEADER) as rows:
+        for line, row in rows:
             if len(row) != 3:
                 raise MalformedRow(line, f"expected 3 fields, got {len(row)}")
-            origin = catalog.resolve(row[0].strip())
-            destination = catalog.resolve(row[1].strip())
+            try:
+                origins.append(catalog.resolve(row[0].strip()))
+                destinations.append(catalog.resolve(row[1].strip()))
+            except UnknownNode as exc:
+                raise UnknownNode(f"line {line}: {exc}") from None
             try:
                 timestamp = float(row[2])
             except ValueError:
                 raise MalformedRow(line, f"bad timestamp {row[2]!r}") from None
             if not math.isfinite(timestamp):
                 raise MalformedRow(line, f"non-finite timestamp {row[2]!r}")
-            if timestamp < previous:
-                raise NonMonotonicTimestamp(line, timestamp, previous)
-            previous = timestamp
-            events.append(TransactionEvent(origin, destination, timestamp))
-        return events
+            if times and timestamp < times[-1]:
+                raise NonMonotonicTimestamp(line, timestamp, times[-1])
+            times.append(timestamp)
+    return EventStream(origins, destinations, times)
+
+
+def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_events_csv(events: Iterable[TransactionEvent], catalog: NodeCatalog,
                      path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVENT_HEADER)
-        for ev in events:
-            writer.writerow([catalog.name_of(ev.origin), catalog.name_of(ev.destination),
-                             repr(ev.timestamp)])
+    _write_csv(path, EVENT_HEADER, ([catalog.name_of(ev.origin), catalog.name_of(ev.destination),
+                                     repr(ev.timestamp)] for ev in events))
 
 
 def write_catalog_csv(catalog: NodeCatalog, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CATALOG_HEADER)
-        for i in range(catalog.n):
-            writer.writerow([catalog.name_of(i), i])
+    _write_csv(path, CATALOG_HEADER, ([catalog.name_of(i), i] for i in range(catalog.n)))
 
 
 def load_catalog(path: str | Path | None, n: int | None = None) -> NodeCatalog:
@@ -223,14 +278,9 @@ def load_catalog(path: str | Path | None, n: int | None = None) -> NodeCatalog:
         if n is None:
             raise ValueError("need either a catalog file or an explicit node count")
         return NodeCatalog(n=n)
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != list(CATALOG_HEADER):
-            raise MalformedRow(1, f"expected header {','.join(CATALOG_HEADER)}")
-        pairs: list[tuple[str, int]] = []
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    pairs: list[tuple[str, int]] = []
+    with _csv_rows(path, CATALOG_HEADER) as rows:
+        for line, row in rows:
             if len(row) != 2:
                 raise MalformedRow(line, f"expected 2 fields, got {len(row)}")
             try:
@@ -238,6 +288,8 @@ def load_catalog(path: str | Path | None, n: int | None = None) -> NodeCatalog:
             except ValueError:
                 raise MalformedRow(line, f"bad index {row[1]!r}") from None
     count = len(pairs)
+    if count == 0:
+        raise MalformedRow(2, "catalog lists no nodes")
     names: list[str | None] = [None] * count
     for name, idx in pairs:
         if not 0 <= idx < count:
@@ -248,68 +300,40 @@ def load_catalog(path: str | Path | None, n: int | None = None) -> NodeCatalog:
     return NodeCatalog(n=count, names=tuple(names))  # type: ignore[arg-type]
 
 
-def pack_events(events: Sequence[TransactionEvent]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Event sequence as (origins, destinations, timestamps) arrays."""
-    count = len(events)
-    origins = np.fromiter((ev.origin for ev in events), dtype=np.int64, count=count)
-    dests = np.fromiter((ev.destination for ev in events), dtype=np.int64, count=count)
-    times = np.fromiter((ev.timestamp for ev in events), dtype=float, count=count)
-    return origins, dests, times
-
-
-def default_t0(events: Sequence[TransactionEvent], tau: float) -> float:
+def default_t0(events: Events, tau: float) -> float:
     """First event timestamp floored to a tau boundary (0.0 for an empty stream)."""
-    if not events:
-        return 0.0
-    return math.floor(events[0].timestamp / tau) * tau
+    times = EventStream.of(events).times
+    return math.floor(times[0] / tau) * tau if len(times) else 0.0
 
 
-def _check_batching_args(events: Sequence[TransactionEvent], t0: float, tau: float):
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    previous = -math.inf
-    for ev in events:
-        if ev.timestamp < previous:
-            raise NonMonotonicTimestamp(0, ev.timestamp, previous)
-        previous = ev.timestamp
-    if events and events[0].timestamp < t0:
-        raise ValueError(f"event at t={events[0].timestamp} precedes t0={t0}")
-
-
-def _window_count(events: Sequence[TransactionEvent], t0: float, tau: float,
-                  until: float | None) -> int:
-    k = 0
-    if events:
-        # An event exactly on a boundary belongs to the next window.
-        k = int(math.floor((events[-1].timestamp - t0) / tau)) + 1
-    if until is not None and until > t0:
-        k = max(k, int(math.ceil((until - t0) / tau)))
-    return k
-
-
-def batch_by_window(events: Sequence[TransactionEvent], t0: float, tau: float,
+def batch_by_window(events: Events, t0: float, tau: float,
                     until: float | None = None) -> list[EventBatch]:
     """Partition events into fixed tau windows ``[t0 + k*tau, t0 + (k+1)*tau)``.
 
     Empty windows are emitted too (they still trigger memory decay).  With
     ``until`` given, enough trailing windows are produced to cover it.
     """
-    _check_batching_args(events, t0, tau)
-    count = _window_count(events, t0, tau, until)
-    batches: list[EventBatch] = []
-    pos = 0
-    for k in range(count):
-        lo, hi = t0 + k * tau, t0 + (k + 1) * tau
-        start = pos
-        while pos < len(events) and events[pos].timestamp < hi:
-            pos += 1
-        batches.append(EventBatch(tuple(events[start:pos]), lo, hi))
-    if pos != len(events):
-        raise ValueError("events extend past the final window; widen `until`")
-    return batches
+    stream = EventStream.of(events)
+    times = stream.times
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if len(times) and times[0] < t0:
+        raise ValueError(f"event at t={float(times[0])!r} precedes t0={t0!r}")
+    # The window count is read off the edges the cut uses: the fewest windows
+    # that hold the last event (an event on an edge opens that edge's window)
+    # and reach ``until``.
+    last = times[-1] if len(times) else -math.inf
+    end = max(last, t0 if until is None else until)
+    edges = t0 + np.arange(int((end - t0) // tau) + 3) * tau
+    count = max(int(np.searchsorted(edges, last, side="right")),
+                0 if until is None else int(np.searchsorted(edges, until, side="left")))
+    cuts = np.searchsorted(times, edges[:count + 1], side="left").tolist()
+    bounds = edges[:count + 1].tolist()  # Python floats: bounds are repr'd into CSVs
+    return [EventBatch(stream[lo:hi], start, end)
+            for lo, hi, start, end in zip(cuts, cuts[1:], bounds, bounds[1:])]
 
 
-def batch_by_cap(events: Sequence[TransactionEvent], t0: float, tau: float, cap: int,
+def batch_by_cap(events: Events, t0: float, tau: float, cap: int,
                  until: float | None = None) -> list[EventBatch]:
     """Partition into tau windows, splitting busy windows every ``cap`` events.
 
@@ -321,29 +345,21 @@ def batch_by_cap(events: Sequence[TransactionEvent], t0: float, tau: float, cap:
         raise ValueError("cap must be >= 1")
     batches: list[EventBatch] = []
     for window in batch_by_window(events, t0, tau, until):
-        evs = window.events
-        if len(evs) <= cap:
-            batches.append(window)
-            continue
-        start_t = window.window_start
-        pos = 0
-        while pos < len(evs):
-            chunk = evs[pos:pos + cap]
-            pos += len(chunk)
-            end_t = window.window_end if pos >= len(evs) else chunk[-1].timestamp
-            batches.append(EventBatch(chunk, start_t, end_t))
-            start_t = end_t
+        inner = range(cap, len(window), cap)
+        cuts = [0, *inner, len(window)]
+        ends = window.events.times[[cut - 1 for cut in inner]].tolist()
+        bounds = [window.window_start, *ends, window.window_end]
+        batches.extend(EventBatch(window.events[lo:hi], start, end)
+                       for lo, hi, start, end in zip(cuts, cuts[1:], bounds, bounds[1:]))
     return batches
 
 
-def build_od_matrix(events: Iterable[TransactionEvent], t: float, tau: float,
-                    n: int) -> np.ndarray:
+def build_od_matrix(events: Events, t: float, tau: float, n: int) -> np.ndarray:
     """Count trips per ordered (origin, destination) pair within ``[t, t + tau)``."""
     return od_matrix_series(events, t, tau, 1, n)[0]
 
 
-def od_matrix_series(events: Iterable[TransactionEvent], t0: float, tau: float,
-                     count: int, n: int) -> np.ndarray:
+def od_matrix_series(events: Events, t0: float, tau: float, count: int, n: int) -> np.ndarray:
     """OD matrices for ``count`` consecutive windows starting at ``t0``, one pass.
 
     Returns a (count, n, n) array; events outside ``[t0, t0 + count*tau)``
@@ -354,10 +370,10 @@ def od_matrix_series(events: Iterable[TransactionEvent], t0: float, tau: float,
         raise ValueError("need at least one node")
     if tau <= 0 or count < 1:
         raise ValueError("tau must be positive and count >= 1")
-    origins, dests, times = pack_events(list(events))
+    stream = EventStream.of(events)
     bounds = t0 + np.arange(count + 1) * tau
-    widx = np.searchsorted(bounds, times, side="right") - 1
+    widx = np.searchsorted(bounds, stream.times, side="right") - 1
     keep = (widx >= 0) & (widx < count)
-    flat = (widx[keep] * n + origins[keep]) * n + dests[keep]
+    flat = (widx[keep] * n + stream.origins[keep]) * n + stream.destinations[keep]
     counts = np.bincount(flat, minlength=count * n * n)
     return counts.reshape(count, n, n).astype(float)

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DegenerateNormalizer, NodeNotEndpoint, TimeRegression
-from .events import EventBatch, NodeCatalog, TransactionEvent, pack_events
+from .events import EventBatch, Events, EventStream, NodeCatalog, TransactionEvent
 
 #: Default decay rate: one-hour half-life.
 DEFAULT_DECAY_RATE = math.log(2.0) / 3600.0
@@ -46,10 +46,6 @@ class DecayConfig:
             raise ValueError("decay_rate must be positive")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-
-    @classmethod
-    def from_half_life(cls, half_life: float, dim: int) -> "DecayConfig":
-        return cls(decay_rate=math.log(2.0) / half_life, dim=dim)
 
     def factor(self, dt: float, weighted: bool = True) -> float:
         """Decay factor for a time advance of ``dt`` seconds."""
@@ -96,10 +92,6 @@ class StationMessages:
     def node(self, i: int) -> StationMessage:
         return StationMessage(p=self.p[i], q=float(self.q[i]))
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.q.sum())
-
 
 def event_representation(event: TransactionEvent, for_node: int, reps: np.ndarray,
                          catalog: NodeCatalog, include_features: bool = True,
@@ -144,7 +136,7 @@ def aggregate_messages(batch: EventBatch, reps: np.ndarray, catalog: NodeCatalog
     ``q = S 1``: the message is the decayed flow matrix times the node states.
     """
     n = reps.shape[0]
-    origins, dests, times = pack_events(batch.events)
+    origins, dests, times = batch.events.origins, batch.events.destinations, batch.events.times
     w = np.exp(-cfg.decay_rate * (batch.window_end - times)) if weighted else np.ones(len(times))
     flows = np.bincount(origins * n + dests, weights=w, minlength=n * n).reshape(n, n)
     seen = flows + flows.T
@@ -191,30 +183,8 @@ def read_representation(mem: StationMemory) -> np.ndarray:
     return mem.a / mem.b
 
 
-def oracle_representation_packed(node: int, packed, t: float, frozen_reps: np.ndarray,
-                                 cfg: DecayConfig,
-                                 initial_mass_time: float | None = None) -> np.ndarray:
-    """:func:`oracle_representation` over pre-packed event arrays."""
-    origins, dests, times = packed
-    upto = times <= t
-    num = np.zeros(frozen_reps.shape[1])
-    den = 0.0
-    for mine, other in ((origins, dests), (dests, origins)):
-        keep = upto & (mine == node)
-        if keep.any():
-            w = np.exp(-cfg.decay_rate * (t - times[keep]))
-            num += w @ frozen_reps[other[keep]]
-            den += float(w.sum())
-    if initial_mass_time is not None:
-        den += math.exp(-cfg.decay_rate * (t - initial_mass_time))
-    elif den == 0.0:
-        return num
-    return num / den
-
-
-def oracle_representation(node: int, events: Sequence[TransactionEvent], t: float,
-                          frozen_reps: np.ndarray, cfg: DecayConfig,
-                          initial_mass_time: float | None = None) -> np.ndarray:
+def oracle_representation(node: int, events: Events, t: float, frozen_reps: np.ndarray,
+                          cfg: DecayConfig, initial_mass_time: float | None = None) -> np.ndarray:
     """Brute-force closed form of the decayed representation.
 
     Evaluates ``sum_k w_k * r_other(k) / sum_k w_k`` with
@@ -227,5 +197,19 @@ def oracle_representation(node: int, events: Sequence[TransactionEvent], t: floa
     time is added to the denominator, mirroring the online accumulators'
     b=1 initialization; without it, this is the pure weighted mean.
     """
-    return oracle_representation_packed(node, pack_events(events), t, frozen_reps, cfg,
-                                        initial_mass_time)
+    stream = EventStream.of(events)
+    upto = stream.times <= t
+    num = np.zeros(frozen_reps.shape[1])
+    den = 0.0
+    for mine, other in ((stream.origins, stream.destinations),
+                        (stream.destinations, stream.origins)):
+        keep = upto & (mine == node)
+        if keep.any():
+            w = np.exp(-cfg.decay_rate * (t - stream.times[keep]))
+            num += w @ frozen_reps[other[keep]]
+            den += float(w.sum())
+    if initial_mass_time is not None:
+        den += math.exp(-cfg.decay_rate * (t - initial_mass_time))
+    elif den == 0.0:
+        return num
+    return num / den

@@ -23,7 +23,7 @@ import numpy as np
 from . import evaluation
 from .autodiff import Tensor, backward, grad_of, zero_grads
 from .errors import ChecksumMismatch, EmptyTrainSplit, IoError, ShapeError, VersionMismatch
-from .events import NodeCatalog, TransactionEvent, od_matrix_series
+from .events import Events, EventStream, NodeCatalog, od_matrix_series
 from .events import batch_by_window  # noqa: F401  (perfbench traces training.batch_by_window)
 from .model import HyperParams, ModelParams, empty_params, init_params, od_loss, predict_od
 from .model import step  # noqa: F401  (perfbench traces training.step)
@@ -178,8 +178,8 @@ def write_history(history: Sequence[EpochStats], path) -> None:
 # -- the loop ------------------------------------------------------------
 
 
-def train(events: Sequence[TransactionEvent], catalog: NodeCatalog, hyper: HyperParams,
-          tc: TrainConfig, on_epoch: Callable[[EpochStats], None] | None = None) -> TrainResult:
+def train(events: Events, catalog: NodeCatalog, hyper: HyperParams, tc: TrainConfig,
+          on_epoch: Callable[[EpochStats], None] | None = None) -> TrainResult:
     """Train from scratch, returning the best-validation parameters.
 
     Stops once validation MAE has failed to improve for ``patience``
@@ -187,6 +187,7 @@ def train(events: Sequence[TransactionEvent], catalog: NodeCatalog, hyper: Hyper
     to the initial state at the start of every epoch, so epochs are
     independent replays.
     """
+    events = EventStream.of(events)
     splits = tc.splits
     walk_windows = splits.train_windows + splits.val_windows
     params = init_params(hyper, tc.seed)

@@ -180,6 +180,19 @@ class TestFiniteChecks:
         with pytest.raises(NonFiniteValue):
             ad.exp(x)
 
+    @pytest.mark.parametrize("into", ["leaf", "interior"])
+    def test_gradient_overflowing_only_when_summed_aborts(self, into):
+        # Forward values stay finite; each of the two contributions is 1e308
+        # and only their sum is inf.
+        x = param([1e-300], name="x")
+        shared = x if into == "leaf" else ad.scale(x, 1.0)
+        loss = ad.tensor_sum(ad.add(ad.scale(shared, 1e308), ad.scale(shared, 1e308)))
+        assert np.isfinite(loss.data)
+        name = "x" if into == "leaf" else "scale"
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteValue, match=f"gradient into {name}"):
+            backward(loss)
+
 
 class TestFdCheck:
     def test_square_at_three(self):

@@ -148,8 +148,8 @@ class TestStepPipeline:
         params = init_params(hyper, 2)
         rng = np.random.default_rng(3)
         events = random_batch(rng, hyper, 12, 0.0, 120.0).events
-        first = tuple(e for e in events if e.timestamp < 60.0)
-        second = tuple(e for e in events if e.timestamp >= 60.0)
+        mid = int(np.searchsorted(events.times, 60.0))
+        first, second = events[:mid], events[mid:]
 
         bank_a = fresh_bank(params, hyper, np.random.default_rng(4))
         step(bank_a, EventBatch(first, 0.0, 60.0), params, hyper, catalog)
