@@ -2,13 +2,15 @@
 
 A :class:`Tensor` records the operation that produced it together with
 vector-Jacobian closures for its parents; :func:`backward` replays the tape
-in reverse topological order.  The op set is deliberately small (matrix
-multiply, transpose, concat, split, elementwise add/mul, scalar scale, exp,
-rectifier, softmax over an axis, sum over an axis, mean, square, and the
-rectified pair sum of two (n, m) matrices over all n^2 ordered row pairs)
-and there is no general broadcasting; the single allowed shape mix in
-``add`` is a length-m vector added to every row of an (n, m) matrix, which
-is what bias terms need.
+in reverse topological order.  The op set is deliberately small: matrix
+multiply, the affine map ``linear`` (``x @ w^T + b``), the batched product
+and head merge of stacked heads, transpose, concat, split, elementwise
+add/mul, scalar scale, exp, rectifier, softmax over an axis, sum over an
+axis, mean, square, and the rectified pair sum of two (n, m) matrices over
+all n^2 ordered row pairs.  There is no general broadcasting: ``linear``
+alone adds a length-m bias to every row and broadcasts a leading head
+axis.  A :class:`View` names one slice of a tensor, such as one head of a
+stacked weight, without putting it on the tape.
 
 Every forward value and every gradient is checked for NaN/Inf and aborts
 with diagnostics when one appears.
@@ -26,7 +28,7 @@ from .errors import NonFiniteValue, NotScalar, ShapeError, TapeReuse
 
 def _assert_finite(data: np.ndarray, where: str) -> None:
     # A full-array sum is NaN or Inf iff some entry is; cheap single pass.
-    if not math.isfinite(float(data.sum())):
+    if not math.isfinite(float(np.add.reduce(data, axis=None))):
         bad = int((~np.isfinite(data)).sum())
         raise NonFiniteValue(f"{where}: {bad}/{data.size} non-finite entries, shape {data.shape}")
 
@@ -68,11 +70,41 @@ class Tensor:
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
 
+    def __getitem__(self, index) -> "View":
+        return View(self, index)
+
     def t(self) -> "Tensor":
         return transpose(self)
 
     def backward(self) -> None:
         backward(self)
+
+
+class View(Tensor):
+    """Slice ``index`` of a tensor under its own name, such as one head of a stack.
+
+    It shares the tensor's data and reads its slice of the tensor's gradient;
+    clearing its gradient clears the tensor's.  It is not on the tape, so
+    backward fails if an op took it as an operand.
+    """
+
+    __slots__ = ("base", "index")
+
+    def __init__(self, base: Tensor, index, name: str | None = None):
+        # An index past the end raises IndexError here, which also ends iteration.
+        self.data, self.base, self.index = base.data[index], base, index
+        self.name, self.requires_grad = name or f"{base.name}[{index}]", base.requires_grad
+        self._parents, self._vjp, self._backward_ran = (), None, False
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.base.grad is None else self.base.grad[self.index]
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if value is not None:
+            raise TypeError(f"{self.name} is a view; ops must take the tensor it views")
+        self.base.grad = None
 
 
 def as_tensor(x, name: str | None = None) -> Tensor:
@@ -113,6 +145,58 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp, "matmul")
 
 
+def _sum_heads(g: np.ndarray, ndim: int) -> np.ndarray:
+    """Sum a gradient over the head axis its operand was broadcast along."""
+    return g.sum(axis=0) if g.ndim > ndim else g
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w^T + b`` for ``x`` (n, k) or (H, n, k) and ``w`` (m, k) or (H, m, k).
+
+    A head axis on either operand broadcasts, giving (H, n, m); ``b`` is a
+    length-m bias added to every row.
+    """
+    xs, ws = x.data.shape, w.data.shape
+    if (not 2 <= len(xs) <= 3 or not 2 <= len(ws) <= 3 or xs[-1] != ws[-1]
+            or len(xs) == len(ws) == 3 and xs[0] != ws[0]
+            or b is not None and b.data.shape != ws[-2:-1]):
+        bias = "" if b is None else f" plus {b.data.shape}"
+        raise ShapeError(f"linear of {xs} and {ws}{bias}")
+    out = np.matmul(x.data, w.data.swapaxes(-1, -2))
+    if b is not None:
+        out += b.data
+
+    def vjp(g: np.ndarray):
+        # A constant operand gets no gradient, so its product is skipped.
+        return (_sum_heads(g @ w.data, len(xs)) if x.requires_grad else None,
+                _sum_heads(g.swapaxes(-1, -2) @ x.data, len(ws)) if w.requires_grad else None,
+                g.sum(axis=tuple(range(g.ndim - 1))) if b is not None and b.requires_grad else None)
+
+    return _make(out, (x, w) if b is None else (x, w, b), vjp, "linear")
+
+
+def batch_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """One matrix product per head: (H, n, k) by (H, k, m) gives (H, n, m)."""
+    if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[::2] != b.data.shape[:2]:
+        raise ShapeError(f"batch_matmul of {a.data.shape} and {b.data.shape}")
+
+    def vjp(g: np.ndarray):
+        return (g @ b.data.swapaxes(1, 2) if a.requires_grad else None,
+                a.data.swapaxes(1, 2) @ g if b.requires_grad else None)
+
+    return _make(np.matmul(a.data, b.data), (a, b), vjp, "batch_matmul")
+
+
+def merge_heads(a: Tensor) -> Tensor:
+    """Heads side by side: (H, k, n) gives (n, H*k) with ``out[j, h*k + i] = a[h, i, j]``."""
+    if a.data.ndim != 3:
+        raise ShapeError(f"merge_heads needs (H, k, n), got {a.data.shape}")
+    heads, k, n = a.data.shape
+    out = a.data.transpose(2, 0, 1).reshape(n, heads * k)
+    return _make(out, (a,), lambda g: (g.reshape(n, heads, k).transpose(1, 2, 0),),
+                 "merge_heads")
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose needs a matrix, got {a.data.shape}")
@@ -120,16 +204,9 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape == b.data.shape:
-        def vjp(g: np.ndarray):
-            return g, g
-    elif a.data.ndim == 2 and b.data.shape == (a.data.shape[1],):
-        # Row-vector bias added to every row of a matrix.
-        def vjp(g: np.ndarray):
-            return g, g.sum(axis=0)
-    else:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"add of {a.data.shape} and {b.data.shape}")
-    return _make(a.data + b.data, (a, b), vjp, "add")
+    return _make(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def pair_sum_relu(a: Tensor, b: Tensor) -> Tensor:

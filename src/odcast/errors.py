@@ -25,13 +25,14 @@ class UnknownNode(OdcastError):
 
 
 class NonMonotonicTimestamp(OdcastError):
-    """An event timestamp decreased relative to its predecessor."""
+    """An event timestamp decreased: named by its file line, or with ``line=None``
+    (a stream built in memory) by its 0-based event index."""
 
-    def __init__(self, line: int, timestamp: float, previous: float):
-        super().__init__(
-            f"line {line}: timestamp {timestamp} decreases below predecessor {previous}"
-        )
-        self.line = line
+    def __init__(self, line: int | None, timestamp: float, previous: float,
+                 index: int | None = None):
+        where = f"line {line}" if line is not None else f"event {index}"
+        super().__init__(f"{where}: timestamp {timestamp} decreases below predecessor {previous}")
+        self.line, self.index = line, index
 
 
 # -- memory / model ----------------------------------------------------------

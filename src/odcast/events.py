@@ -67,7 +67,9 @@ class EventStream:
             raise ValueError("event times must be finite")
         drops = np.flatnonzero(times[1:] < times[:-1])
         if drops.size:
-            raise NonMonotonicTimestamp(0, float(times[drops[0] + 1]), float(times[drops[0]]))
+            first = int(drops[0]) + 1
+            raise NonMonotonicTimestamp(None, float(times[first]), float(times[first - 1]),
+                                        index=first)
         self._hold(origins, destinations, times)
 
     def _hold(self, *columns: np.ndarray) -> None:
@@ -207,7 +209,7 @@ def _csv_rows(source: str | Path | IO, header: tuple[str, ...]) -> Iterator:
         stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
     else:
         stream = source
-    reader = csv.reader(stream)
+    reader = csv.reader(stream, strict=True)  # a file cut inside a quoted field is an error
     try:
         first = next(reader, None)
         if first is None or [h.strip().lower() for h in first] != list(header):

@@ -89,8 +89,7 @@ class Mlp:
     b2: Tensor
 
     def __call__(self, x: Tensor) -> Tensor:
-        hidden = ad.relu(ad.add(ad.matmul(x, ad.transpose(self.w1)), self.b1))
-        return ad.add(ad.matmul(hidden, ad.transpose(self.w2)), self.b2)
+        return ad.linear(ad.relu(ad.linear(x, self.w1, self.b1)), self.w2, self.b2)
 
     def tensors(self) -> Iterator[tuple[str, Tensor]]:
         yield "w1", self.w1
@@ -104,8 +103,8 @@ class ModelParams:
     """Every trainable array of the model."""
 
     attention: AttentionWeights
-    w_c3: list[Tensor]
-    w_g3: list[Tensor]
+    w_c3: Tensor  # (H, d_msg/H, d_s)
+    w_g3: Tensor  # (H, d_msg/H, d_msg)
     station_mlp: Mlp
     cluster_mlp: Mlp
     area_mlp: Mlp
@@ -114,20 +113,20 @@ class ModelParams:
     area_mem0: Tensor
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
+        """Every parameter array under its checkpoint name; each head of a stacked
+        weight is a view (``w_c1.{h}`` and so on) sharing its data and gradient."""
         out: list[tuple[str, Tensor]] = []
-        for group, tensors in (("w_c1", self.attention.w_c1), ("w_c2", self.attention.w_c2),
-                               ("w_g1", self.attention.w_g1), ("w_g2", self.attention.w_g2),
-                               ("w_c3", self.w_c3), ("w_g3", self.w_g3)):
-            out.extend((f"{group}.{h}", t) for h, t in enumerate(tensors))
+        for group, stack in (("w_c1", self.attention.w_c1), ("w_c2", self.attention.w_c2),
+                             ("w_g1", self.attention.w_g1), ("w_g2", self.attention.w_g2),
+                             ("w_c3", self.w_c3), ("w_g3", self.w_g3)):
+            out.extend((f"{group}.{h}", ad.View(stack, h, f"{group}.{h}"))
+                       for h in range(stack.data.shape[0]))
         for group, mlp in (("station_mlp", self.station_mlp), ("cluster_mlp", self.cluster_mlp),
                            ("area_mlp", self.area_mlp), ("output_mlp", self.output_mlp)):
             out.extend((f"{group}.{name}", t) for name, t in mlp.tensors())
         out.append(("cluster_mem0", self.cluster_mem0))
         out.append(("area_mem0", self.area_mem0))
         return out
-
-    def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named_tensors()]
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_tensors()}
@@ -141,7 +140,7 @@ class ModelParams:
                 raise VersionMismatch(
                     f"array {name!r} has shape {arr.shape}, expected {t.data.shape}"
                 )
-            t.data = arr.copy()
+            t.data[...] = arr
 
 
 def _param(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int,
@@ -168,18 +167,15 @@ def _build_params(hyper: HyperParams, rng: np.random.Generator | None) -> ModelP
     d_s = hyper.station_msg_dim
     head_out = d_msg // h
 
-    def head_list(shape, fan_in, name):
-        return [_param(rng, shape, fan_in, f"{name}.{i}") for i in range(h)]
-
     return ModelParams(
         attention=AttentionWeights(
-            w_c1=head_list((d_rel, d), d, "w_c1"),
-            w_c2=head_list((d_rel, d), d, "w_c2"),
-            w_g1=head_list((d_rel, d), d, "w_g1"),
-            w_g2=head_list((d_rel, d), d, "w_g2"),
+            w_c1=_param(rng, (h, d_rel, d), d, "w_c1"),
+            w_c2=_param(rng, (h, d_rel, d), d, "w_c2"),
+            w_g1=_param(rng, (h, d_rel, d), d, "w_g1"),
+            w_g2=_param(rng, (h, d_rel, d), d, "w_g2"),
         ),
-        w_c3=head_list((head_out, d_s), d_s, "w_c3"),
-        w_g3=head_list((head_out, d_msg), d_msg, "w_g3"),
+        w_c3=_param(rng, (h, head_out, d_s), d_s, "w_c3"),
+        w_g3=_param(rng, (h, head_out, d_msg), d_msg, "w_g3"),
         station_mlp=_mlp(rng, d_s, d, d, "station_mlp"),
         cluster_mlp=_mlp(rng, d_msg, d, d, "cluster_mlp"),
         area_mlp=_mlp(rng, d_msg, d, d, "area_mlp"),
@@ -302,16 +298,16 @@ def predict_od(z: Tensor, params: ModelParams) -> Prediction:
     """Evaluate the pairwise output head densely on all ordered node pairs.
 
     The head is an MLP over ``[z_i ; z_j]`` for pair row ``i*N + j``.  Its
-    first layer splits into an origin block (which takes the bias) and a
-    destination block, each applied once per node; ``pair_sum_relu`` adds
-    them for every pair and rectifies, so the hidden layer is the only
-    (N^2, d) array a forecast allocates.
+    first layer splits by columns into an origin block (which takes the
+    bias) and a destination block, each applied once per node;
+    ``pair_sum_relu`` adds them for every pair and rectifies, so the hidden
+    layer is the only (N^2, d) array a forecast allocates.
     """
     n, width = z.data.shape
     mlp = params.output_mlp
-    w_origin, w_dest = ad.split(ad.transpose(mlp.w1), [width, width], axis=0)
-    hidden = ad.pair_sum_relu(ad.add(ad.matmul(z, w_origin), mlp.b1), ad.matmul(z, w_dest))
-    raw = ad.add(ad.matmul(hidden, ad.transpose(mlp.w2)), mlp.b2)
+    w_origin, w_dest = ad.split(mlp.w1, [width, width], axis=1)
+    hidden = ad.pair_sum_relu(ad.linear(z, w_origin, mlp.b1), ad.linear(z, w_dest))
+    raw = ad.linear(hidden, mlp.w2, mlp.b2)
     return Prediction(matrix=np.maximum(raw.data, 0.0).reshape(n, n), raw=raw)
 
 

@@ -16,6 +16,11 @@ There is no fusion view of the cluster-area logits: normalized over the
 single area column it would be identically 1, so every station receives the
 area memory unchanged.
 
+Heads are a batch axis.  Every per-head weight is one (H, rows, cols)
+array, and every logit and view is one (H, ., .) tensor, so each stage
+records a few tape ops whatever H is.  Checkpoints still name the heads
+one by one (``w_c1.0`` ... ``w_c1.{H-1}``), as views into the stacks.
+
 Cluster and area memories keep only the weighted accumulator; the
 normalization that station memories get from their ``b`` term is already
 applied by the softmax weights here, and level relations shift too quickly
@@ -25,7 +30,7 @@ for a meaningful historical normalizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,31 +42,32 @@ from .memory import DecayConfig, StationMessages
 
 @dataclass
 class AttentionWeights:
-    """Per-head bilinear projections for station-cluster and cluster-area logits."""
+    """Bilinear projections for station-cluster and cluster-area logits, heads on axis 0."""
 
-    w_c1: list[Tensor]  # H x (d_rel, d), station side
-    w_c2: list[Tensor]  # H x (d_rel, d), cluster side
-    w_g1: list[Tensor]  # H x (d_rel, d), cluster side of the area relation
-    w_g2: list[Tensor]  # H x (d_rel, d), area side
+    w_c1: Tensor  # (H, d_rel, d), station side
+    w_c2: Tensor  # (H, d_rel, d), cluster side
+    w_g1: Tensor  # (H, d_rel, d), cluster side of the area relation
+    w_g2: Tensor  # (H, d_rel, d), area side
 
     @property
     def heads(self) -> int:
-        return len(self.w_c1)
+        return self.w_c1.data.shape[0]
 
 
 @dataclass
 class RelationTensors:
-    """Per-head relation logits and their normalized views (see module docs)."""
+    """Relation logits and their normalized views, heads on axis 0 (see module docs).
+    Indexing a head, as in ``acm[h]``, gives a view of its (N, N_c) or (N_c, 1) matrix."""
 
-    ac: list[Tensor]   # H x (N, N_c)
-    ag: list[Tensor]   # H x (N_c, 1)
-    acm: list[Tensor]  # softmax of ac over stations (axis 0)
-    agm: list[Tensor]  # softmax of ag over clusters (axis 0)
-    ace: list[Tensor]  # softmax of ac over clusters (axis 1)
+    ac: Tensor   # (H, N, N_c)
+    ag: Tensor   # (H, N_c, 1)
+    acm: Tensor  # softmax of ac over stations (axis 1)
+    agm: Tensor  # softmax of ag over clusters (axis 1)
+    ace: Tensor  # softmax of ac over clusters (axis 2)
 
     @property
     def heads(self) -> int:
-        return len(self.ac)
+        return self.ac.data.shape[0]
 
 
 @dataclass
@@ -83,19 +89,18 @@ class LevelState:
                           self.last_update)
 
 
-def _check_projection(ws: Sequence[Tensor], d: int, what: str) -> None:
-    for h, w in enumerate(ws):
-        if w.data.ndim != 2 or w.data.shape[1] != d:
-            raise DimensionMismatch(
-                f"{what}[{h}] has shape {w.data.shape}, expected (*, {d})"
-            )
+def _check_projection(w: Tensor, heads: int, d: int, what: str) -> None:
+    if w.data.ndim != 3 or w.data.shape[0] != heads or w.data.shape[2] != d:
+        raise DimensionMismatch(
+            f"{what} has shape {w.data.shape}, expected ({heads}, *, {d})"
+        )
 
 
 def compute_relations(station_reps, cluster_reps, area_rep, attn: AttentionWeights,
                       scale_logits: bool = False) -> RelationTensors:
-    """Bilinear relation logits between adjacent levels, one matrix per head.
+    """Bilinear relation logits between adjacent levels, all heads at once.
 
-    ``ac[h] = (W_c1[h] @ station^T)^T @ (W_c2[h] @ cluster^T)`` and the
+    ``ac[h] = (station @ W_c1[h]^T) @ (cluster @ W_c2[h]^T)^T`` and the
     cluster-area logits ``ag[h]`` are built the same way from cluster and
     area representations.  Relations always use the representations from
     BEFORE the current batch's memory update.  ``scale_logits`` divides by
@@ -110,33 +115,17 @@ def compute_relations(station_reps, cluster_reps, area_rep, attn: AttentionWeigh
             f"level widths disagree: station {station.data.shape}, "
             f"cluster {cluster.data.shape}, area {area.data.shape}"
         )
-    _check_projection(attn.w_c1, d, "w_c1")
-    _check_projection(attn.w_c2, d, "w_c2")
-    _check_projection(attn.w_g1, d, "w_g1")
-    _check_projection(attn.w_g2, d, "w_g2")
+    for what in ("w_c1", "w_c2", "w_g1", "w_g2"):
+        _check_projection(getattr(attn, what), attn.heads, d, what)
 
-    ac, ag = [], []
-    for h in range(attn.heads):
-        left = ad.transpose(ad.matmul(attn.w_c1[h], ad.transpose(station)))
-        right = ad.matmul(attn.w_c2[h], ad.transpose(cluster))
-        logits_c = ad.matmul(left, right)
-        left_g = ad.transpose(ad.matmul(attn.w_g1[h], ad.transpose(cluster)))
-        right_g = ad.matmul(attn.w_g2[h], ad.transpose(area))
-        logits_g = ad.matmul(left_g, right_g)
-        if scale_logits:
-            norm = 1.0 / np.sqrt(attn.w_c1[h].data.shape[0])
-            logits_c = ad.scale(logits_c, norm)
-            logits_g = ad.scale(logits_g, norm)
-        ac.append(logits_c)
-        ag.append(logits_g)
-
-    return RelationTensors(
-        ac=ac,
-        ag=ag,
-        acm=[ad.softmax(a, axis=0) for a in ac],
-        agm=[ad.softmax(a, axis=0) for a in ag],
-        ace=[ad.softmax(a, axis=1) for a in ac],
-    )
+    ac = ad.linear(ad.linear(station, attn.w_c1), ad.linear(cluster, attn.w_c2))
+    ag = ad.linear(ad.linear(cluster, attn.w_g1), ad.linear(area, attn.w_g2))
+    if scale_logits:
+        norm = 1.0 / np.sqrt(attn.w_c1.data.shape[1])
+        ac = ad.scale(ac, norm)
+        ag = ad.scale(ag, norm)
+    return RelationTensors(ac=ac, ag=ag, acm=ad.softmax(ac, axis=1),
+                           agm=ad.softmax(ag, axis=1), ace=ad.softmax(ac, axis=2))
 
 
 def message_ratios(msgs: StationMessages) -> np.ndarray:
@@ -148,32 +137,24 @@ def message_ratios(msgs: StationMessages) -> np.ndarray:
 
 
 def project_cluster_messages(relations: RelationTensors, msgs: StationMessages,
-                             w_c3: Sequence[Tensor]) -> Tensor:
+                             w_c3: Tensor) -> Tensor:
     """Attention-weighted projection of station messages up to clusters.
 
     Per head, cluster i receives ``sum_j acm[h, j, i] * (W_c3[h] @ (p_j / q_j))``;
     head outputs are concatenated.  Idle stations (q = 0) contribute zero.
+    The projections are laid out as (H, d_msg/H, N), so ``acm`` multiplies
+    them as it is.
     """
     ratios = ad.constant(message_ratios(msgs))
-    d_s = ratios.data.shape[1]
-    _check_projection(w_c3, d_s, "w_c3")
-    per_head = []
-    for h, w in enumerate(w_c3):
-        projected = ad.matmul(ratios, ad.transpose(w))          # (N, d_msg/H)
-        per_head.append(ad.matmul(ad.transpose(relations.acm[h]), projected))
-    return ad.concat(per_head, axis=1)
+    _check_projection(w_c3, relations.heads, ratios.data.shape[1], "w_c3")
+    return ad.merge_heads(ad.batch_matmul(ad.linear(w_c3, ratios), relations.acm))
 
 
 def project_area_message(relations: RelationTensors, cluster_msgs: Tensor,
-                         w_g3: Sequence[Tensor]) -> Tensor:
+                         w_g3: Tensor) -> Tensor:
     """Attention-weighted projection of cluster messages up to the area node."""
-    d_msg = cluster_msgs.data.shape[1]
-    _check_projection(w_g3, d_msg, "w_g3")
-    per_head = []
-    for h, w in enumerate(w_g3):
-        projected = ad.matmul(cluster_msgs, ad.transpose(w))    # (N_c, d_msg/H)
-        per_head.append(ad.matmul(ad.transpose(relations.agm[h]), projected))
-    return ad.concat(per_head, axis=1)
+    _check_projection(w_g3, relations.heads, cluster_msgs.data.shape[1], "w_g3")
+    return ad.merge_heads(ad.batch_matmul(ad.linear(w_g3, cluster_msgs), relations.agm))
 
 
 def update_level_memories(state: LevelState, cluster_msgs: Tensor, area_msg: Tensor,
@@ -213,12 +194,9 @@ def fuse(station_reps, state: LevelState, relations: RelationTensors) -> Tensor:
             f"cluster memory width {cluster_mem.data.shape} does not match "
             f"station width {station.data.shape}"
         )
-    heads = relations.heads
-    from_clusters = None
-    for h in range(heads):
-        pull_c = ad.matmul(relations.ace[h], cluster_mem)                  # (N, d)
-        from_clusters = pull_c if from_clusters is None else ad.add(from_clusters, pull_c)
-    from_clusters = ad.scale(from_clusters, 1.0 / heads)
+    # Averaging the weights over heads first takes one product, not one per head.
+    weights = ad.scale(ad.tensor_sum(relations.ace, axis=0), 1.0 / relations.heads)
+    from_clusters = ad.matmul(weights, cluster_mem)                        # (N, d)
     # A ones column broadcasts the area row and keeps the area memory on the tape.
     from_area = ad.matmul(ad.constant(np.ones((station.data.shape[0], 1))), area_mem)
     return ad.concat([station, from_clusters, from_area], axis=1)
@@ -226,14 +204,8 @@ def fuse(station_reps, state: LevelState, relations: RelationTensors) -> Tensor:
 
 def relation_rows(relations: RelationTensors, view: str) -> list[tuple[int, int, int, float]]:
     """Flatten a relation view into (head, station, cluster, weight) rows."""
-    tensors = {"message": relations.acm, "fusion": relations.ace}[view]
-    rows = []
-    for h, tensor in enumerate(tensors):
-        matrix = tensor.data
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                rows.append((h, i, j, float(matrix[i, j])))
-    return rows
+    weights = {"message": relations.acm, "fusion": relations.ace}[view].data
+    return [(h, i, j, float(w)) for (h, i, j), w in np.ndenumerate(weights)]
 
 
 def write_relation_csv(relations: RelationTensors, view: str, path) -> None:

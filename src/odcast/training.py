@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import evaluation
-from .autodiff import Tensor, backward, grad_of, zero_grads
+from .autodiff import Tensor, backward, zero_grads
 from .errors import ChecksumMismatch, EmptyTrainSplit, IoError, ShapeError, VersionMismatch
 from .events import Events, EventStream, NodeCatalog, od_matrix_series
 from .events import batch_by_window  # noqa: F401  (perfbench traces training.batch_by_window)
@@ -37,7 +37,11 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter, plus the step counter."""
+    """Adam moments as two flat vectors in the order of the first step's parameters.
+
+    ``m[name]`` and ``v[name]`` are views into them.  Moments set by name before
+    that step, as a loaded checkpoint does, are copied in when they are built.
+    """
 
     lr: float = 1e-4
     beta1: float = 0.9
@@ -46,33 +50,63 @@ class AdamState:
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    flat_m: np.ndarray | None = field(default=None, repr=False)
+    flat_v: np.ndarray | None = field(default=None, repr=False)
+
+
+def _flat_views(flat: np.ndarray, params: Sequence[tuple[str, Tensor]]) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one shaped like each parameter."""
+    views, offset = [], 0
+    for _, tensor in params:
+        views.append(flat[offset:offset + tensor.data.size].reshape(tensor.data.shape))
+        offset += tensor.data.size
+    return views
 
 
 def adam_step(params: Sequence[tuple[str, Tensor]], grads: Mapping[str, np.ndarray] | None,
               opt: AdamState) -> AdamState:
-    """One bias-corrected Adam update, in place on the parameter tensors.
+    """One bias-corrected Adam update, written in place into the parameter arrays.
 
     ``grads`` may be None to use the gradients accumulated on the tensors by
-    the last backward pass.
+    the last backward pass.  The flat moments take in-place vector ops that
+    allocate one temporary.
     """
+    names = [name for name, _ in params]
+    if opt.flat_m is None or list(opt.m) != names:
+        for key in ("m", "v"):
+            flat = np.zeros(sum(tensor.data.size for _, tensor in params))
+            views = dict(zip(names, _flat_views(flat, params)))
+            for name, moment in getattr(opt, key).items():
+                if name in views:
+                    views[name][...] = moment
+            setattr(opt, f"flat_{key}", flat)
+            setattr(opt, key, views)
+    g = np.zeros_like(opt.flat_m)
+    parts = _flat_views(g, params)
+    for (name, tensor), part in zip(params, parts):
+        grad = grads[name] if grads is not None else tensor.grad
+        if grad is None:
+            continue  # backward did not reach it: a zero gradient
+        grad = np.asarray(grad, dtype=float)
+        if grad.shape != part.shape:
+            raise ShapeError(f"gradient for {name!r} has shape {grad.shape}, "
+                             f"parameter has {part.shape}")
+        part[...] = grad
     opt.step_count += 1
     t = opt.step_count
-    correct1 = 1.0 - opt.beta1 ** t
-    correct2 = 1.0 - opt.beta2 ** t
-    for name, tensor in params:
-        g = grads[name] if grads is not None else grad_of(tensor)
-        g = np.asarray(g, dtype=float)
-        if g.shape != tensor.data.shape:
-            raise ShapeError(f"gradient for {name!r} has shape {g.shape}, "
-                             f"parameter has {tensor.data.shape}")
-        if name not in opt.m:
-            opt.m[name] = np.zeros_like(tensor.data)
-            opt.v[name] = np.zeros_like(tensor.data)
-        opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g
-        opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * g * g
-        m_hat = opt.m[name] / correct1
-        v_hat = opt.v[name] / correct2
-        tensor.data = tensor.data - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+    m, v = opt.flat_m, opt.flat_v
+    scratch = np.empty_like(g)
+    m *= opt.beta1
+    m += np.multiply(g, 1.0 - opt.beta1, out=scratch)                  # b1 m + (1 - b1) g
+    v *= opt.beta2
+    v += np.multiply(np.multiply(g, 1.0 - opt.beta2, out=scratch), g, out=scratch)
+    denom = np.sqrt(np.divide(v, 1.0 - opt.beta2 ** t, out=scratch), out=scratch)
+    denom += opt.eps
+    step = np.divide(m, 1.0 - opt.beta1 ** t, out=g)  # g is spent: reuse it
+    step *= opt.lr
+    step /= denom                                      # lr m_hat / (sqrt(v_hat) + eps)
+    for (_, tensor), update in zip(params, parts):  # the views of g now hold the step
+        tensor.data -= update
     return opt
 
 

@@ -35,8 +35,11 @@ class TestForward:
         assert np.allclose(s.data.sum(axis=1), 1.0)
 
     def test_bias_add(self):
-        out = ad.add(param([[1.0, 2.0], [3.0, 4.0]]), param([10.0, 20.0]))
+        # A bias rides in ``linear``; ``add`` takes equal shapes only.
+        out = ad.linear(param([[1.0, 2.0], [3.0, 4.0]]), param(np.eye(2)), param([10.0, 20.0]))
         assert np.array_equal(out.data, [[11.0, 22.0], [13.0, 24.0]])
+        with pytest.raises(ShapeError):
+            ad.add(param([[1.0, 2.0], [3.0, 4.0]]), param([10.0, 20.0]))
 
     def test_add_shape_error(self):
         with pytest.raises(ShapeError):
@@ -84,6 +87,101 @@ class TestPairSumRelu:
             return ad.mean(ad.square(ad.mul(ad.pair_sum_relu(a, b), weights)))
 
         assert fd_check(f, [("a", a), ("b", b)]).passed()
+
+
+class TestLinear:
+    @pytest.mark.parametrize("x_shape, w_shape, out_shape", [
+        ((4, 3), (2, 3), (4, 2)), ((4, 3), (5, 2, 3), (5, 4, 2)),
+        ((5, 4, 3), (2, 3), (5, 4, 2)), ((5, 4, 3), (5, 2, 3), (5, 4, 2))],
+        ids=["2d", "stacked-w", "stacked-x", "both-stacked"])
+    def test_forward_is_x_times_w_transposed_plus_bias(self, x_shape, w_shape, out_shape):
+        rng = np.random.default_rng(20)
+        x, w, b = (param(rng.normal(size=s)) for s in (x_shape, w_shape, (2,)))
+        out = ad.linear(x, w, b)
+        assert out.data.shape == out_shape
+        assert np.allclose(out.data, x.data @ np.swapaxes(w.data, -1, -2) + b.data,
+                           rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((4, 3), (2, 4), None), ((4, 3), (2, 3), (3,)), ((2, 4, 3), (3, 2, 3), None),
+        ((3,), (2, 3), None), ((1, 2, 4, 3), (2, 3), None)],
+        ids=["inner-width", "bias-width", "head-count", "vector-x", "four-axes"])
+    def test_shape_error(self, x_shape, w_shape, b_shape):
+        b = None if b_shape is None else param(np.ones(b_shape))
+        with pytest.raises(ShapeError):
+            ad.linear(param(np.ones(x_shape)), param(np.ones(w_shape)), b)
+
+    @pytest.mark.parametrize("x_shape, w_shape, bias", [
+        ((4, 3), (2, 3), False), ((4, 3), (2, 3), True), ((4, 3), (3, 2, 3), False),
+        ((3, 4, 3), (2, 3), True)],
+        ids=["2d", "2d-bias", "stacked-w", "stacked-x-bias"])
+    def test_matches_central_differences(self, x_shape, w_shape, bias):
+        rng = np.random.default_rng(21)
+        x, w = param(rng.normal(size=x_shape), "x"), param(rng.normal(size=w_shape), "w")
+        named = [("x", x), ("w", w)]
+        b = None
+        if bias:
+            b = param(rng.normal(size=w_shape[-2]), "b")
+            named.append(("b", b))
+        assert fd_check(lambda: ad.mean(ad.square(ad.linear(x, w, b))), named).passed()
+
+    def test_constant_operands_get_no_product(self):
+        rng = np.random.default_rng(22)
+        x_data, w_data = rng.normal(size=(4, 3)), rng.normal(size=(2, 2, 3))
+        g = np.ones((2, 4, 2))
+        gx, gw, gb = ad.linear(ad.constant(x_data), param(w_data), param(np.zeros(2)))._vjp(g)
+        assert gx is None and gw.shape == (2, 2, 3) and np.array_equal(gb, [8.0, 8.0])
+        gx, gw, gb = ad.linear(param(x_data), ad.constant(w_data))._vjp(g)
+        assert gw is None and gb is None and gx.shape == (4, 3)
+        w_ref = param(w_data)
+        backward(ad.tensor_sum(ad.square(ad.linear(param(x_data), w_ref))))
+        w = param(w_data)
+        backward(ad.tensor_sum(ad.square(ad.linear(ad.constant(x_data), w))))
+        assert np.array_equal(w.grad, w_ref.grad)
+
+
+class TestHeads:
+    def test_batch_matmul_matches_central_differences(self):
+        rng = np.random.default_rng(23)
+        a, b = param(rng.normal(size=(3, 2, 4)), "a"), param(rng.normal(size=(3, 4, 5)), "b")
+        assert np.allclose(ad.batch_matmul(a, b).data, np.matmul(a.data, b.data))
+        assert fd_check(lambda: ad.mean(ad.square(ad.batch_matmul(a, b))),
+                        [("a", a), ("b", b)]).passed()
+        with pytest.raises(ShapeError):
+            ad.batch_matmul(a, param(np.ones((2, 4, 5))))
+
+    def test_merge_heads_places_head_blocks_side_by_side(self):
+        a = param(np.arange(24.0).reshape(2, 3, 4))
+        out = ad.merge_heads(a).data
+        assert out.shape == (4, 6)
+        assert np.array_equal(out, np.concatenate([a.data[0].T, a.data[1].T], axis=1))
+        with pytest.raises(ShapeError):
+            ad.merge_heads(param(np.ones((3, 4))))
+
+    def test_merge_heads_matches_central_differences(self):
+        rng = np.random.default_rng(24)
+        a = param(rng.normal(size=(3, 2, 4)), "a")
+        weights = ad.constant(rng.normal(size=(4, 6)))
+        assert fd_check(lambda: ad.mean(ad.square(ad.mul(ad.merge_heads(a), weights))),
+                        [("a", a)]).passed()
+
+    def test_views_share_data_and_gradient_with_their_stack(self):
+        stack = param(np.arange(12.0).reshape(3, 2, 2), "w")
+        view = stack[1]
+        assert view.name == "w[1]" and np.array_equal(view.data, [[4.0, 5.0], [6.0, 7.0]])
+        view.data[0, 0] = -1.0
+        assert stack.data[1, 0, 0] == -1.0
+        assert view.grad is None and np.array_equal(grad_of(view), np.zeros((2, 2)))
+        backward(ad.tensor_sum(ad.square(stack)))
+        assert np.array_equal(view.grad, 2.0 * stack.data[1])
+        zero_grads([view])
+        assert stack.grad is None
+        assert [v.data.shape for v in stack] == [(2, 2)] * 3  # iteration stops at the end
+
+    def test_a_view_used_as_an_operand_fails_at_backward(self):
+        stack = param(np.ones((2, 2, 2)))
+        with pytest.raises(TypeError, match="view"):
+            backward(ad.tensor_sum(ad.matmul(stack[0], stack[1])))
 
 
 class TestBackward:

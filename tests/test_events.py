@@ -149,8 +149,9 @@ class TestParseEvents:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
-    @pytest.mark.parametrize("row", ["A,B,1\r2\n", "A,B," + "1" * 200_000 + "\n"],
-                             ids=["bare-carriage-return", "oversized-field"])
+    @pytest.mark.parametrize("row", ["A,B,1\r2\n", "A,B," + "1" * 200_000 + "\n", 'A,B,"1\n'],
+                             ids=["bare-carriage-return", "oversized-field",
+                                  "truncated-quoted-field"])
     def test_csv_module_errors_are_malformed_rows(self, row):
         src = io.StringIO("origin,destination,timestamp\nA,B,1.0\n" + row)
         with pytest.raises(MalformedRow) as err:
@@ -183,6 +184,12 @@ class TestEventStream:
     def test_decreasing_times_rejected(self):
         with pytest.raises(NonMonotonicTimestamp):
             EventStream([0, 0, 0], [1, 1, 1], [1.0, 3.0, 2.0])
+
+    def test_decreasing_times_name_the_event_not_a_line(self):
+        message = r"^event 2: timestamp 2\.0 decreases below predecessor 3\.0$"
+        with pytest.raises(NonMonotonicTimestamp, match=message) as err:
+            EventStream([0, 0, 0], [1, 1, 1], [1.0, 3.0, 2.0])
+        assert err.value.line is None and err.value.index == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_times_rejected(self, bad):

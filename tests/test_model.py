@@ -184,11 +184,10 @@ class TestStepPipeline:
         pred_before = predict_od(result.z, params).matrix
 
         # Perturbing every cluster-level array must not change the output.
-        for tensors in (params.attention.w_c1, params.attention.w_c2,
-                        params.attention.w_g1, params.attention.w_g2,
-                        params.w_c3, params.w_g3):
-            for t in tensors:
-                t.data = t.data + 7.0
+        for stack in (params.attention.w_c1, params.attention.w_c2,
+                      params.attention.w_g1, params.attention.w_g2,
+                      params.w_c3, params.w_g3):
+            stack.data = stack.data + 7.0
         params.cluster_mem0.data = params.cluster_mem0.data + 3.0
         params.area_mem0.data = params.area_mem0.data - 4.0
 
@@ -236,6 +235,35 @@ class TestStepPipeline:
         zero_grads(t for _, t in params.named_tensors())
         backward(od_loss(pred2.raw, truth))
         assert np.abs(grad_of(params.cluster_mem0)).max() == 0.0
+
+
+def tape_op_count(root):
+    """Op nodes (not leaves or constants) reachable from ``root`` through the tape."""
+    seen, stack, ops = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops += node._vjp is not None
+            stack.extend(node._parents)
+    return ops
+
+
+def test_a_training_window_records_at_most_60_ops():
+    # The criterion-7 model shape: 24 nodes, d = 32, 4 heads.
+    hyper = HyperParams(n=24, dim=32, msg_dim=32, heads=4, tau=1800.0,
+                        decay_rate=math.log(2.0) / 7200.0)
+    catalog = NodeCatalog(n=24)
+    params = init_params(hyper, 0)
+    bank = MemoryBank.initial(params, hyper, 0.0)
+    rng = np.random.default_rng(13)
+    truth = rng.poisson(0.5, size=(24, 24)).astype(float)
+    # The first window after a reset keeps the initial level memories on the tape.
+    for k in range(2):
+        batch = random_batch(rng, hyper, 300, k * 1800.0, (k + 1) * 1800.0)
+        result = step(bank, batch, params, hyper, catalog)
+        loss = od_loss(predict_od(result.z, params).raw, truth)
+        assert tape_op_count(loss) <= 60
 
 
 class TestPredictOd:

@@ -18,7 +18,7 @@ def params(data):
 
 def random_attention(rng, heads, d_rel, d):
     def heads_of():
-        return [params(rng.normal(size=(d_rel, d))) for _ in range(heads)]
+        return params(rng.normal(size=(heads, d_rel, d)))
     return AttentionWeights(w_c1=heads_of(), w_c2=heads_of(), w_g1=heads_of(),
                             w_g2=heads_of())
 
@@ -95,7 +95,7 @@ class TestProjections:
         msgs = StationMessages(p=s[None, :], q=np.array([1.0]))
         attn = random_attention(np.random.default_rng(0), heads=2, d_rel=2, d=2)
         rel = compute_relations(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)), attn)
-        w_c3 = [params(np.eye(d_s)), params(np.eye(d_s))]
+        w_c3 = params(np.stack([np.eye(d_s), np.eye(d_s)]))
         out = project_cluster_messages(rel, msgs, w_c3)
         assert np.allclose(out.data, np.concatenate([s, s])[None, :])
 
@@ -104,7 +104,7 @@ class TestProjections:
         station, cluster, area, attn = random_setup(rng, n=3, n_c=2)
         rel = compute_relations(station, cluster, area, attn)
         msgs = StationMessages(p=np.zeros((3, 4)), q=np.zeros(3))
-        w_c3 = [params(rng.normal(size=(2, 4))) for _ in range(2)]
+        w_c3 = params(rng.normal(size=(2, 2, 4)))
         out = project_cluster_messages(rel, msgs, w_c3)
         assert not out.data.any()
 
@@ -124,7 +124,7 @@ class TestProjections:
         q[1] = 0.0
         p[1] = 0.0
         msgs = StationMessages(p=p, q=q)
-        w_c3 = [params(rng.normal(size=(d_msg // heads, d_s))) for _ in range(heads)]
+        w_c3 = params(rng.normal(size=(heads, d_msg // heads, d_s)))
         out = project_cluster_messages(rel, msgs, w_c3).data
 
         for i in range(n_c):
@@ -142,7 +142,7 @@ class TestProjections:
         station, cluster, area, attn = random_setup(rng, n=3, n_c=1)
         rel = compute_relations(station, cluster, area, attn)
         cmsgs = params(rng.normal(size=(1, 4)))
-        w_g3 = [params(rng.normal(size=(2, 4))) for _ in range(2)]
+        w_g3 = params(rng.normal(size=(2, 2, 4)))
         out = project_area_message(rel, cmsgs, w_g3).data
         expected = np.concatenate([w.data @ cmsgs.data[0] for w in w_g3])
         assert np.allclose(out[0], expected, rtol=1e-12)
@@ -153,7 +153,7 @@ class TestProjections:
         station, cluster, area, attn = random_setup(rng, n=4, n_c=n_c)
         rel = compute_relations(station, cluster, area, attn)
         cmsgs = params(rng.normal(size=(n_c, d_msg)))
-        w_g3 = [params(rng.normal(size=(d_msg // heads, d_msg))) for _ in range(heads)]
+        w_g3 = params(rng.normal(size=(heads, d_msg // heads, d_msg)))
         out = project_area_message(rel, cmsgs, w_g3).data
 
         expected = []

@@ -202,6 +202,34 @@ class TestCheckpoints:
         assert loaded_opt.lr == 0.005 and loaded_opt.step_count == 17
         assert np.array_equal(loaded_opt.m["station_mlp.w1"], opt.m["station_mlp.w1"])
 
+    def test_manifest_names_every_head(self, tmp_path):
+        hyper = HyperParams(n=3, dim=4, msg_dim=4, heads=2, rel_dim=2, n_clusters=2,
+                            tau=60.0, decay_rate=0.01)
+        params = init_params(hyper, 0)
+        named = params.named_tensors()
+        opt = adam_step(named, {name: np.ones(t.data.shape) for name, t in named},
+                        AdamState())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, opt, hyper, path)
+        blob = path.read_bytes()
+        manifest = json.loads(blob[16:16 + struct.unpack_from("<I", blob, 12)[0]])
+        heads = [(f"{group}.{h}", shape) for group, shape in
+                 (("w_c1", [2, 4]), ("w_c2", [2, 4]), ("w_g1", [2, 4]), ("w_g2", [2, 4]),
+                  ("w_c3", [2, 8]), ("w_g3", [2, 4])) for h in range(2)]
+        mlps = [(f"{mlp}.{name}", shape) for mlp, d_in in
+                (("station_mlp", 8), ("cluster_mlp", 4), ("area_mlp", 4))
+                for name, shape in (("w1", [4, d_in]), ("b1", [4]), ("w2", [4, 4]),
+                                    ("b2", [4]))]
+        out = [("output_mlp.w1", [4, 24]), ("output_mlp.b1", [4]), ("output_mlp.w2", [1, 4]),
+               ("output_mlp.b2", [1]), ("cluster_mem0", [2, 4]), ("area_mem0", [1, 4])]
+        arrays = heads + mlps + out
+        moments = [(f"adam.{k}.{name}", shape) for k in "mv" for name, shape in sorted(arrays)]
+        assert [tuple(a) for a in manifest["arrays"]] == arrays + moments
+        loaded, loaded_opt, _ = load_checkpoint(path)
+        assert loaded.attention.w_c1.data.shape == (2, 2, 4)
+        assert np.array_equal(loaded.w_c3.data[1], dict(params.named_tensors())["w_c3.1"].data)
+        assert np.array_equal(loaded_opt.m["w_g3.1"], opt.m["w_g3.1"])
+
     def test_truncated_file(self, tmp_path):
         hyper = small_hyper(n=3)
         path = tmp_path / "model.ckpt"
