@@ -6,11 +6,13 @@ in reverse topological order.  The op set is deliberately small: matrix
 multiply, the affine map ``linear`` (``x @ w^T + b``), the batched product
 and head merge of stacked heads, transpose, concat, split, elementwise
 add/mul, scalar scale, exp, rectifier, softmax over an axis, sum over an
-axis, mean, square, and the rectified pair sum of two (n, m) matrices over
-all n^2 ordered row pairs.  There is no general broadcasting: ``linear``
-alone adds a length-m bias to every row and broadcasts a leading head
-axis.  A :class:`View` names one slice of a tensor, such as one head of a
-stacked weight, without putting it on the tape.
+axis, mean, square, and the pairwise output layer ``pair_head``, which
+maps two (n, m) matrices to one value per ordered row pair (n^2 rows)
+without storing the (n^2, m) hidden layer.  There is no general
+broadcasting: ``linear`` alone adds a length-m bias to every row and
+broadcasts a leading head axis.  A :class:`View` names one slice of a
+tensor, such as one head of a stacked weight, without putting it on the
+tape.
 
 Every forward value and every gradient is checked for NaN/Inf and aborts
 with diagnostics when one appears.
@@ -209,26 +211,57 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
-def pair_sum_relu(a: Tensor, b: Tensor) -> Tensor:
-    """Rectified sums of all ordered row pairs: row ``i*n + j`` is ``relu(a[i] + b[j])``.
+# Elements of one block of the pair head's hidden layer: 64k float64 is
+# 512 KB, which stays in a core's L2 cache.
+_PAIR_BLOCK_ELEMENTS = 1 << 16
 
-    Fused so that a call allocates one (n^2, m) array, not two.  Freeing
-    several such arrays per forecast pushed the heap past glibc's trim
-    threshold in some runs and not others, and the memory was then faulted
-    in again on every call.
+
+def pair_head(a: Tensor, b: Tensor, w: Tensor, c: Tensor) -> Tensor:
+    """Pairwise output layer: row ``i*n + j`` of the (n^2, 1) result is
+    ``relu(a[i] + b[j]) @ w^T + c`` for ``a``, ``b`` (n, m), ``w`` (1, m), ``c`` (1,).
+
+    The (n^2, m) hidden layer is never stored.  Forward and VJP walk blocks
+    of origin rows sized to a fixed element budget and rebuild each block's
+    hidden values; since ``relu(x) = mask * x``, the block's 0/1 mask is all
+    the VJP needs.
     """
-    if a.data.ndim != 2 or a.data.shape != b.data.shape:
-        raise ShapeError(f"pair_sum_relu of {a.data.shape} and {b.data.shape}")
+    if (a.data.ndim != 2 or b.data.shape != a.data.shape
+            or w.data.shape != (1, a.data.shape[1]) or c.data.shape != (1,)):
+        raise ShapeError(f"pair_head of {a.data.shape}, {b.data.shape}, {w.data.shape} "
+                         f"and {c.data.shape}")
     n, m = a.data.shape
-    out = a.data[:, None, :] + b.data[None, :, :]
-    np.maximum(out, 0.0, out=out)
-    out = out.reshape(n * n, m)
+    rows = max(1, _PAIR_BLOCK_ELEMENTS // max(1, n * m))
+    blocks = [(lo, min(n, lo + rows)) for lo in range(0, n, rows)]
+    out = np.empty((n * n, 1))
+    for lo, hi in blocks:
+        hidden = a.data[lo:hi, None, :] + b.data
+        np.maximum(hidden, 0.0, out=hidden)
+        np.matmul(hidden.reshape(-1, m), w.data.T, out=out[lo * n:hi * n])
+    out += c.data
 
     def vjp(g: np.ndarray):
-        pairs = (g * (out > 0.0)).reshape(n, n, m)  # derivative at exactly 0 is 0
-        return pairs.sum(axis=1), pairs.sum(axis=0)
+        pairs = g.reshape(n, n)
+        # A constant operand gets no gradient; w needs both row sums.
+        need_a = a.requires_grad or w.requires_grad
+        need_b = b.requires_grad or w.requires_grad
+        s_a, s_b = np.zeros((n, m)), np.zeros((n, m))
+        if need_a or need_b:
+            for lo, hi in blocks:
+                mask = a.data[lo:hi, None, :] + b.data
+                np.greater(mask, 0.0, out=mask)  # derivative at exactly 0 is 0
+                if need_a:  # s_a[i] = sum_j g[i, j] mask[i, j]
+                    s_a[lo:hi] = np.matmul(pairs[lo:hi, None, :], mask)[:, 0]
+                if need_b:  # s_b[j] = sum_i g[i, j] mask[i, j]
+                    s_b += np.matmul(pairs[lo:hi].T[:, None, :], mask.swapaxes(0, 1))[:, 0]
+        grad_w = None
+        if w.requires_grad:
+            grad_w = ((a.data * s_a).sum(axis=0) + (b.data * s_b).sum(axis=0))[None, :]
+        return (s_a * w.data if a.requires_grad else None,
+                s_b * w.data if b.requires_grad else None,
+                grad_w,
+                np.array([g.sum()]) if c.requires_grad else None)
 
-    return _make(out, (a, b), vjp, "pair_sum_relu")
+    return _make(out, (a, b, w, c), vjp, "pair_head")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

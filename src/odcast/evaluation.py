@@ -17,8 +17,6 @@ from .multilevel import RelationTensors
 if TYPE_CHECKING:
     from .training import Splits
 
-DAY_SECONDS = 86400.0
-
 
 @dataclass
 class MetricReport:
@@ -84,20 +82,21 @@ def compute_metrics(preds: Sequence[np.ndarray], truths: Sequence[np.ndarray],
 class HistoricalAverage:
     """Per time-of-day-slot mean of the training OD matrices.
 
-    A test window's slot is its start time modulo one day, quantized by tau.
-    Slots never seen in training fall back to the global mean matrix and are
-    recorded in ``unseen_slots``.
+    A test window's slot is its start time modulo ``day_length``, quantized
+    by tau.  Slots never seen in training fall back to the global mean matrix
+    and are recorded in ``unseen_slots``.
     """
 
     def __init__(self, slot_means: dict[int, np.ndarray], global_mean: np.ndarray,
-                 tau: float):
+                 tau: float, day_length: float = 86400.0):
         self.slot_means = slot_means
         self.global_mean = global_mean
         self.tau = tau
+        self.day_length = day_length
         self.unseen_slots: list[int] = []
 
     def slot_of(self, window_start: float) -> int:
-        return int(math.floor(((window_start % DAY_SECONDS) + 1e-9) / self.tau))
+        return int(math.floor(((window_start % self.day_length) + 1e-9) / self.tau))
 
     def predict(self, window_start: float) -> np.ndarray:
         slot = self.slot_of(window_start)
@@ -108,17 +107,19 @@ class HistoricalAverage:
         return mean.copy()
 
 
-def ha_baseline(train_truths: Sequence[tuple[float, np.ndarray]], tau: float) -> HistoricalAverage:
+def ha_baseline(train_truths: Sequence[tuple[float, np.ndarray]], tau: float,
+                day_length: float = 86400.0) -> HistoricalAverage:
     """Fit the historical-average predictor from (window_start, matrix) pairs."""
     if not train_truths:
         raise LengthMismatch("historical average needs at least one training window")
     grouped: dict[int, list[np.ndarray]] = {}
-    probe = HistoricalAverage({}, np.zeros_like(np.asarray(train_truths[0][1])), tau)
+    probe = HistoricalAverage({}, np.zeros_like(np.asarray(train_truths[0][1])), tau,
+                              day_length)
     for window_start, matrix in train_truths:
         grouped.setdefault(probe.slot_of(window_start), []).append(np.asarray(matrix, dtype=float))
     slot_means = {slot: np.mean(mats, axis=0) for slot, mats in grouped.items()}
     global_mean = np.mean([m for _, m in train_truths], axis=0)
-    return HistoricalAverage(slot_means, global_mean, tau)
+    return HistoricalAverage(slot_means, global_mean, tau, day_length)
 
 
 @dataclass

@@ -299,15 +299,15 @@ def predict_od(z: Tensor, params: ModelParams) -> Prediction:
 
     The head is an MLP over ``[z_i ; z_j]`` for pair row ``i*N + j``.  Its
     first layer splits by columns into an origin block (which takes the
-    bias) and a destination block, each applied once per node;
-    ``pair_sum_relu`` adds them for every pair and rectifies, so the hidden
-    layer is the only (N^2, d) array a forecast allocates.
+    bias) and a destination block, each applied once per node by
+    ``linear``; ``pair_head`` adds them for every pair, rectifies and
+    applies the second layer block by block, so no (N^2, d) array is ever
+    allocated.
     """
     n, width = z.data.shape
     mlp = params.output_mlp
     w_origin, w_dest = ad.split(mlp.w1, [width, width], axis=1)
-    hidden = ad.pair_sum_relu(ad.linear(z, w_origin, mlp.b1), ad.linear(z, w_dest))
-    raw = ad.linear(hidden, mlp.w2, mlp.b2)
+    raw = ad.pair_head(ad.linear(z, w_origin, mlp.b1), ad.linear(z, w_dest), mlp.w2, mlp.b2)
     return Prediction(matrix=np.maximum(raw.data, 0.0).reshape(n, n), raw=raw)
 
 

@@ -19,6 +19,7 @@ the live stream does not have to).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,17 +179,28 @@ class RateFunction:
         self.cfg = cfg
         self.table = _compile_profile(cfg)
 
-    def multiplier(self, gi: int, gj: int, dow: int, time_of_day: float) -> float:
+    def multiplier(self, gi: int, gj: int, dow: int, time_of_day):
+        """The step multiplier at a time of day, or at each of an array of them."""
         breaks, mults = self.table[(gi, gj, dow)]
-        k = int(np.searchsorted(breaks, time_of_day, side="right")) - 1
-        return float(mults[min(max(k, 0), len(mults) - 1)])
+        k = np.searchsorted(breaks, time_of_day, side="right") - 1
+        return mults[np.clip(k, 0, len(mults) - 1)]
 
     def __call__(self, origin: int, dest: int, t: float) -> float:
+        return float(self.rates(np.array([origin]), np.array([dest]), np.array([t]))[0])
+
+    def rates(self, origins: np.ndarray, dests: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """The rate of each (origin, destination, time) triple, as ``__call__`` gives it."""
         cfg = self.cfg
-        day_index = int(math.floor(t / cfg.day_length))
-        tod = t - day_index * cfg.day_length
-        gi, gj = cfg.community(origin), cfg.community(dest)
-        return cfg.base_rate * self.multiplier(gi, gj, day_index % 7, tod)
+        day_index = np.floor(times / cfg.day_length)
+        tod = times - day_index * cfg.day_length
+        key = ((cfg.community(origins) * cfg.communities + cfg.community(dests)) * 7
+               + day_index.astype(np.int64) % 7)
+        out = np.empty(times.shape)
+        for k in np.unique(key):
+            sel = key == k
+            groups, dow = divmod(int(k), 7)
+            out[sel] = self.multiplier(*divmod(groups, cfg.communities), dow, tod[sel])
+        return cfg.base_rate * out
 
     def peak(self, origin: int, dest: int) -> float:
         gi, gj = self.cfg.community(origin), self.cfg.community(dest)
@@ -221,21 +233,40 @@ def generate(cfg: SynthConfig) -> tuple[list[TransactionEvent], NodeCatalog, Rat
     """
     rate = RateFunction(cfg)
     horizon = cfg.horizon
-    events: list[TransactionEvent] = []
+    rows = []  # per origin: (origin, destinations, times) of the kept events
     for i in range(cfg.n):
+        dests: list[int] = []    # one entry per pair with a positive peak
+        peaks: list[float] = []
+        counts: list[int] = []   # that pair's candidates
+        times = array("d")       # one entry per candidate
+        draws = array("d")
         for j in range(cfg.n):
             peak = rate.peak(i, j)
             if peak <= 0.0:
                 continue
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i, j)))
+            first = len(times)
             t = 0.0
             while True:
                 t += rng.exponential(1.0 / peak)
                 if t >= horizon:
                     break
-                if rng.uniform() * peak < rate(i, j, t):
-                    events.append(TransactionEvent(i, j, t))
-    events.sort(key=lambda ev: (ev.timestamp, ev.origin, ev.destination))
+                times.append(t)
+                draws.append(rng.uniform())
+            dests.append(j)
+            peaks.append(peak)
+            counts.append(len(times) - first)
+        # Thin the row's candidates at once, with the same product and
+        # comparison ``u * peak < rate(i, j, t)`` as a test per candidate.
+        t = np.frombuffer(times)
+        dest = np.repeat(np.array(dests, dtype=np.int64), counts)
+        keep = (np.frombuffer(draws) * np.repeat(peaks, counts)
+                < rate.rates(np.full(len(t), i), dest, t))
+        rows.append((np.full(int(keep.sum()), i), dest[keep], t[keep]))
+    origin, dest, t = (np.concatenate(column) for column in zip(*rows))
+    order = np.lexsort((dest, origin, t))
+    events = [TransactionEvent(*row) for row in
+              zip(origin[order].tolist(), dest[order].tolist(), t[order].tolist())]
     catalog = NodeCatalog(n=cfg.n, names=tuple(f"n{i:02d}" for i in range(cfg.n)))
     return events, catalog, rate
 

@@ -29,7 +29,9 @@ from .model import HyperParams, ModelParams, empty_params, init_params, od_loss,
 from .model import step  # noqa: F401  (perfbench traces training.step)
 
 CHECKPOINT_MAGIC = b"CMODCKPT"
-CHECKPOINT_VERSION = 1
+# Version 2 checksums the header, the manifest and the payload; version 1,
+# still read, checksummed the payload alone.
+CHECKPOINT_VERSION = 2
 
 
 # -- Adam ---------------------------------------------------------------
@@ -41,6 +43,9 @@ class AdamState:
 
     ``m[name]`` and ``v[name]`` are views into them.  Moments set by name before
     that step, as a loaded checkpoint does, are copied in when they are built.
+    Two flat work buffers of the same length serve every step, so that a step
+    allocates no parameter-sized array (the heap would trim such arrays and
+    fault them back in on every step).
     """
 
     lr: float = 1e-4
@@ -52,6 +57,8 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
     flat_m: np.ndarray | None = field(default=None, repr=False)
     flat_v: np.ndarray | None = field(default=None, repr=False)
+    flat_g: np.ndarray | None = field(default=None, repr=False)
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
 
 def _flat_views(flat: np.ndarray, params: Sequence[tuple[str, Tensor]]) -> list[np.ndarray]:
@@ -68,8 +75,8 @@ def adam_step(params: Sequence[tuple[str, Tensor]], grads: Mapping[str, np.ndarr
     """One bias-corrected Adam update, written in place into the parameter arrays.
 
     ``grads`` may be None to use the gradients accumulated on the tensors by
-    the last backward pass.  The flat moments take in-place vector ops that
-    allocate one temporary.
+    the last backward pass.  The update runs as in-place vector ops on the
+    flat moments and work buffers.
     """
     names = [name for name, _ in params]
     if opt.flat_m is None or list(opt.m) != names:
@@ -81,7 +88,9 @@ def adam_step(params: Sequence[tuple[str, Tensor]], grads: Mapping[str, np.ndarr
                     views[name][...] = moment
             setattr(opt, f"flat_{key}", flat)
             setattr(opt, key, views)
-    g = np.zeros_like(opt.flat_m)
+        opt.flat_g, opt.scratch = np.empty_like(opt.flat_m), np.empty_like(opt.flat_m)
+    g = opt.flat_g
+    g.fill(0.0)
     parts = _flat_views(g, params)
     for (name, tensor), part in zip(params, parts):
         grad = grads[name] if grads is not None else tensor.grad
@@ -95,7 +104,7 @@ def adam_step(params: Sequence[tuple[str, Tensor]], grads: Mapping[str, np.ndarr
     opt.step_count += 1
     t = opt.step_count
     m, v = opt.flat_m, opt.flat_v
-    scratch = np.empty_like(g)
+    scratch = opt.scratch
     m *= opt.beta1
     m += np.multiply(g, 1.0 - opt.beta1, out=scratch)                  # b1 m + (1 - b1) g
     v *= opt.beta2
@@ -283,13 +292,14 @@ def train(events: Events, catalog: NodeCatalog, hyper: HyperParams, tc: TrainCon
 # -- checkpoints ---------------------------------------------------------
 
 
-def _checksum(payload: bytes) -> bytes:
-    return hashlib.sha256(payload).digest()[:8]
+def _checksum(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()[:8]
 
 
 def save_checkpoint(params: ModelParams, opt: AdamState | None, hyper: HyperParams,
                     path) -> None:
-    """Binary checkpoint: magic, version, JSON manifest, float64 payload, checksum."""
+    """Binary checkpoint: magic, version, JSON manifest, float64 payload, and a
+    checksum of everything before it."""
     arrays: list[tuple[str, np.ndarray]] = [(n, t.data) for n, t in params.named_tensors()]
     adam_meta = None
     if opt is not None:
@@ -304,15 +314,13 @@ def save_checkpoint(params: ModelParams, opt: AdamState | None, hyper: HyperPara
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays)
+    header = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(manifest_bytes))
+    body = b"".join([header, manifest_bytes]
+                    + [np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays])
     try:
         with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<I", len(manifest_bytes)))
-            fh.write(manifest_bytes)
-            fh.write(payload)
-            fh.write(_checksum(payload))
+            fh.write(body)
+            fh.write(_checksum(body))
     except OSError as exc:
         raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
 
@@ -338,8 +346,10 @@ def _read_manifest(raw: bytes) -> tuple[HyperParams, AdamState | None, list]:
 def load_checkpoint(path) -> tuple[ModelParams, AdamState | None, HyperParams]:
     """Inverse of :func:`save_checkpoint`; bitwise-exact array round trip.
 
-    A truncated file or a corrupted payload raises :class:`ChecksumMismatch`,
-    a wrong version or a malformed manifest :class:`VersionMismatch`.
+    A truncated file, trailing bytes or a failed checksum raise
+    :class:`ChecksumMismatch`, a wrong version or a malformed manifest
+    :class:`VersionMismatch`.  Version 1 files, whose checksum covers the
+    payload alone, still load.
     """
     try:
         blob = Path(path).read_bytes()
@@ -350,8 +360,10 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState | None, HyperParams]:
     if len(blob) < 16:
         raise ChecksumMismatch("checkpoint truncated inside the header")
     version, manifest_len = struct.unpack_from("<II", blob, 8)
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise VersionMismatch(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+    if version == CHECKPOINT_VERSION and _checksum(blob[:-8]) != blob[-8:]:
+        raise ChecksumMismatch("checkpoint failed its checksum")
     manifest_end = 16 + manifest_len
     if manifest_end > len(blob):
         raise ChecksumMismatch("checkpoint truncated inside the manifest")
@@ -361,8 +373,10 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState | None, HyperParams]:
     payload_end = manifest_end + 8 * total
     if payload_end + 8 > len(blob):
         raise ChecksumMismatch("checkpoint truncated inside the payload")
+    if payload_end + 8 < len(blob):
+        raise ChecksumMismatch(f"checkpoint has {len(blob) - payload_end - 8} trailing bytes")
     payload = blob[manifest_end:payload_end]
-    if _checksum(payload) != blob[payload_end:payload_end + 8]:
+    if version == 1 and _checksum(payload) != blob[payload_end:]:
         raise ChecksumMismatch("checkpoint payload failed its checksum")
 
     values: dict[str, np.ndarray] = {}

@@ -52,41 +52,75 @@ class TestForward:
         assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
 
-class TestPairSumRelu:
-    def test_forward_rows_are_rectified_ordered_pairs(self):
-        a = param([[1.0, -2.0], [3.0, -4.0], [-5.0, 6.0]])
-        b = param([[-10.0, 20.0], [3.0, -40.0], [5.0, 6.0]])
-        out = ad.pair_sum_relu(a, b)
-        assert out.data.shape == (9, 2)
-        for i in range(3):
-            for j in range(3):
-                assert np.array_equal(out.data[i * 3 + j],
-                                      np.maximum(a.data[i] + b.data[j], 0.0))
-        assert np.any(out.data == 0.0) and np.any(out.data > 0.0)
+def dense_pair_head(a, b, w, c):
+    """The head with its (n^2, m) hidden layer built in full: the reference."""
+    n, m = a.shape
+    return np.maximum(a[:, None, :] + b[None, :, :], 0.0).reshape(n * n, m) @ w.T + c
 
-    @pytest.mark.parametrize("shape_a, shape_b", [((3, 2), (2, 2)), ((3, 2), (3, 1)),
-                                                  ((3,), (3,))])
-    def test_shape_error(self, shape_a, shape_b):
+
+class TestPairHead:
+    @pytest.mark.parametrize("n, m, blocks", [(3, 2, 1), (64, 64, 4), (75, 64, 6)],
+                             ids=["single-block", "several-blocks", "ragged-last-block"])
+    def test_forward_matches_dense_formula(self, n, m, blocks):
+        rows = max(1, ad._PAIR_BLOCK_ELEMENTS // (n * m))
+        assert -(-n // rows) == blocks  # the shape has the block layout its id names
+        rng = np.random.default_rng(9)
+        a, b = param(rng.normal(size=(n, m))), param(rng.normal(size=(n, m)))
+        w, c = param(rng.normal(size=(1, m))), param(rng.normal(size=1))
+        out = ad.pair_head(a, b, w, c)
+        assert out.data.shape == (n * n, 1)
+        assert np.allclose(out.data, dense_pair_head(a.data, b.data, w.data, c.data),
+                           rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("shape_a, shape_b, shape_w, shape_c", [
+        ((3, 2), (2, 2), (1, 2), (1,)), ((3, 2), (3, 1), (1, 2), (1,)),
+        ((3,), (3,), (1, 3), (1,)), ((3, 2), (3, 2), (1, 3), (1,)),
+        ((3, 2), (3, 2), (2, 2), (1,)), ((3, 2), (3, 2), (1, 2), (2,))],
+        ids=["b-rows", "b-width", "vector-a", "w-width", "w-rows", "c-size"])
+    def test_shape_error(self, shape_a, shape_b, shape_w, shape_c):
         with pytest.raises(ShapeError):
-            ad.pair_sum_relu(param(np.ones(shape_a)), param(np.ones(shape_b)))
+            ad.pair_head(*(param(np.ones(s)) for s in (shape_a, shape_b, shape_w, shape_c)))
 
     def test_derivative_zero_at_zero(self):
-        a, b = param([[1.0, 2.0]]), param([[-1.0, -3.0]])
-        backward(ad.tensor_sum(ad.pair_sum_relu(a, b)))
-        assert np.array_equal(a.grad, [[0.0, 0.0]])
-        assert np.array_equal(b.grad, [[0.0, 0.0]])
+        # a + b is [0, 1]: the first hidden unit sits exactly on the kink.
+        a, b = param([[1.0, 2.0]]), param([[-1.0, -1.0]])
+        w, c = param([[3.0, 5.0]]), param([0.5])
+        backward(ad.tensor_sum(ad.pair_head(a, b, w, c)))
+        assert np.array_equal(a.grad, [[0.0, 5.0]])
+        assert np.array_equal(b.grad, [[0.0, 5.0]])
+        assert np.array_equal(w.grad, [[0.0, 1.0]])
+        assert np.array_equal(c.grad, [1.0])
 
     def test_matches_central_differences(self):
+        n, m = 40, 64
+        assert ad._PAIR_BLOCK_ELEMENTS // (n * m) < n  # more than one block
         rng = np.random.default_rng(8)
-        a, b = param(rng.normal(size=(4, 3)), name="a"), param(rng.normal(size=(4, 3)), name="b")
-        pairs = (a.data[:, None, :] + b.data[None, :, :]).ravel()
-        assert np.abs(pairs).min() > 1e-3  # no kink within the difference step
-        weights = ad.constant(rng.normal(size=(16, 3)))
+        # Sums land on integer + 0.75 +- 0.1: mixed signs, no kink within the step.
+        a = param(rng.integers(-3, 3, size=(n, m)) + 0.25 + rng.uniform(-0.05, 0.05, (n, m)),
+                  "a")
+        b = param(rng.integers(-3, 3, size=(n, m)) + 0.5 + rng.uniform(-0.05, 0.05, (n, m)),
+                  "b")
+        w, c = param(rng.normal(size=(1, m)), "w"), param([0.3], "c")
+        assert np.abs(a.data[:, None, :] + b.data[None, :, :]).min() > 0.1
+        weights = ad.constant(rng.normal(size=(n * n, 1)))
 
         def f():
-            return ad.mean(ad.square(ad.mul(ad.pair_sum_relu(a, b), weights)))
+            return ad.mean(ad.square(ad.mul(ad.pair_head(a, b, w, c), weights)))
 
-        assert fd_check(f, [("a", a), ("b", b)]).passed()
+        assert fd_check(f, [("a", a), ("b", b), ("w", w), ("c", c)]).passed()
+
+    def test_constant_operands_get_no_product(self):
+        rng = np.random.default_rng(10)
+        data = [rng.normal(size=s) for s in ((5, 3), (5, 3), (1, 3), (1,))]
+        g = rng.normal(size=(25, 1))
+        full = ad.pair_head(*(param(x) for x in data))._vjp(g)
+        for k in range(4):
+            operands = [ad.constant(x) if i == k else param(x) for i, x in enumerate(data)]
+            grads = ad.pair_head(*operands)._vjp(g)
+            assert grads[k] is None
+            for i in range(4):
+                if i != k:
+                    assert np.array_equal(grads[i], full[i])
 
 
 class TestLinear:

@@ -113,6 +113,15 @@ class TestHistoricalAverage:
         assert np.allclose(out, 3.0)
         assert ha.unseen_slots == [4]
 
+    def test_day_length_sets_the_slots(self):
+        # A 1000-s day of four 250-s slots: window k falls in slot k % 4.
+        truths = [(k * 250.0, np.full((2, 2), float(k))) for k in range(12)]
+        ha = ha_baseline(truths, tau=250.0, day_length=1000.0)
+        assert ha.slot_of(5750.0) == 3
+        for s in range(4):
+            assert np.allclose(ha.predict(5000.0 + s * 250.0), float(s + 4))
+        assert not ha.unseen_slots
+
     def test_periodic_stream_matches_slot_mean_loop(self):
         rng = np.random.default_rng(3)
         tau = 21600.0  # 4 slots per day

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,24 @@ class TestPredictOd:
         for g, g_ref in zip(grads, grads_ref):
             assert np.abs(g_ref).max() > 0.0
             assert np.allclose(g, g_ref, rtol=1e-10, atol=1e-13)
+
+    def test_head_allocates_no_pair_hidden_layer(self):
+        # One (N^2, d) float64 array is 33.5 MB at N=256, d=64; the head, the
+        # loss and backward together stay well below that.
+        n, d = 256, 64
+        hyper = HyperParams(n=n, dim=d, msg_dim=d, heads=4, n_clusters=16)
+        params = init_params(hyper, 0)
+        rng = np.random.default_rng(13)
+        z = Tensor(rng.normal(size=(n, 3 * d)), requires_grad=True)
+        truth = rng.poisson(0.5, size=(n, n)).astype(float)
+        tracemalloc.start()
+        try:
+            backward(od_loss(predict_od(z, params).raw, truth))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.abs(params.output_mlp.w2.grad).max() > 0.0
+        assert peak < 16 * 2**20
 
     def test_clamped_nonnegative(self):
         hyper = tiny_hyper()

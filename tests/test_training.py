@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,19 @@ class TestAdam:
         opt = AdamState(lr=0.1)
         adam_step([("theta", theta)], {"theta": np.array([0.0])}, opt)
         assert theta.data[0] == 2.5
+
+    def test_later_steps_allocate_no_parameter_sized_array(self):
+        theta = Tensor(np.ones(100_000), requires_grad=True, name="theta")
+        opt = AdamState()
+        grads = {"theta": np.full(100_000, 0.5)}
+        adam_step([("theta", theta)], grads, opt)
+        tracemalloc.start()
+        try:
+            adam_step([("theta", theta)], grads, opt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < theta.data.nbytes // 4
 
     def test_three_steps_match_hand_recurrence(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
@@ -179,6 +195,12 @@ class TestTrainLoop:
         assert len(lines) == 2 and lines[1].startswith("1,")
 
 
+def v1_checkpoint(manifest: bytes, payload: bytes) -> bytes:
+    """A version 1 checkpoint file, whose checksum covers the payload alone."""
+    return (b"CMODCKPT" + struct.pack("<II", 1, len(manifest)) + manifest + payload
+            + hashlib.sha256(payload).digest()[:8])
+
+
 class TestCheckpoints:
     def roundtrip(self, tmp_path, opt=None):
         hyper = small_hyper(n=3)
@@ -277,18 +299,65 @@ class TestCheckpoints:
             load_checkpoint(tmp_path / "nope.ckpt")
 
     def test_manifest_with_legacy_cap_field_loads(self, tmp_path):
+        # Only version 1 files carry ``cap``: rewrite a checkpoint as one.
         params, _, hyper = self.roundtrip(tmp_path)
         path = tmp_path / "model.ckpt"
         blob = path.read_bytes()
         manifest_end = 16 + struct.unpack_from("<I", blob, 12)[0]
         manifest = json.loads(blob[16:manifest_end])
         manifest["hyper"]["cap"] = 200_000
-        raw = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        path.write_bytes(blob[:12] + struct.pack("<I", len(raw)) + raw + blob[manifest_end:])
+        path.write_bytes(v1_checkpoint(json.dumps(manifest, sort_keys=True).encode("utf-8"),
+                                       blob[manifest_end:-8]))
         loaded, _, hyper2 = load_checkpoint(path)
         assert hyper2 == hyper
         for (name, a), (_, b) in zip(params.named_tensors(), loaded.named_tensors()):
             assert np.array_equal(a.data, b.data), name
+
+    def test_edited_manifest_that_still_validates_is_rejected(self, tmp_path):
+        self.roundtrip(tmp_path, AdamState(lr=0.005))
+        path = tmp_path / "model.ckpt"
+        blob = path.read_bytes()
+        edited = blob.replace(b'"lr": 0.005', b'"lr": 0.009')
+        assert len(edited) == len(blob) and edited != blob
+        path.write_bytes(edited)
+        with pytest.raises(ChecksumMismatch):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_trailing_byte_is_rejected(self, tmp_path, version):
+        self.roundtrip(tmp_path)
+        path = tmp_path / "model.ckpt"
+        blob = path.read_bytes()
+        if version == 1:
+            manifest_end = 16 + struct.unpack_from("<I", blob, 12)[0]
+            blob = v1_checkpoint(blob[16:manifest_end], blob[manifest_end:-8])
+        path.write_bytes(blob)
+        load_checkpoint(path)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(ChecksumMismatch):
+            load_checkpoint(path)
+
+    def test_version_1_file_loads_bit_exactly(self, tmp_path):
+        # Written by the version 1 writer: init_params(hyper, 0) plus Adam
+        # moments built from arange and powers of 0.5.
+        params, opt, hyper = load_checkpoint(Path(__file__).parent / "data" / "checkpoint_v1.ckpt")
+        assert hyper == HyperParams(n=3, dim=4, msg_dim=4, heads=2, rel_dim=2, n_clusters=2,
+                                    tau=60.0, decay_rate=0.01)
+        assert (opt.lr, opt.step_count) == (0.005, 17)
+        expected = init_params(hyper, 0).named_tensors()
+        assert [name for name, _ in params.named_tensors()] == [name for name, _ in expected]
+        for k, ((name, t), (_, ref)) in enumerate(zip(params.named_tensors(), expected)):
+            assert np.array_equal(t.data, ref.data), name
+            assert np.array_equal(opt.m[name], np.arange(t.data.size, dtype=float)
+                                  .reshape(t.data.shape) / (k + 1)), name
+            assert np.array_equal(opt.v[name], np.full(t.data.shape, 0.5 ** k)), name
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, opt, hyper, path)
+        assert struct.unpack_from("<I", path.read_bytes(), 8)[0] == 2
+        again, opt_again, _ = load_checkpoint(path)
+        for (name, a), (_, b) in zip(params.named_tensors(), again.named_tensors()):
+            assert np.array_equal(a.data, b.data), name
+            assert np.array_equal(opt.m[name], opt_again.m[name]), name
 
     def test_every_header_and_manifest_bit_flip_and_truncation(self, tmp_path):
         hyper = small_hyper(n=3)
