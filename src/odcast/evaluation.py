@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -270,6 +272,13 @@ def export_representations(params: ModelParams, events: Events, catalog: NodeCat
                              f"{float(reps[node, dim])!r}\n")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted where ``csv.writer`` would quote it."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text])
+    return buffer.getvalue()[:-1]
+
+
 def write_predictions_csv(predictions: Sequence[WindowPrediction], catalog: NodeCatalog,
                           path, include_actual: bool = True) -> None:
     """Prediction dump: ``origin,destination,window_start,window_end,predicted,actual``."""
@@ -281,7 +290,7 @@ def write_predictions_csv(predictions: Sequence[WindowPrediction], catalog: Node
         for p in predictions:
             n = p.predicted.shape[0]
             if n not in prefixes:
-                names = [catalog.name_of(i) for i in range(n)]
+                names = [_csv_field(catalog.name_of(i)) for i in range(n)]
                 prefixes[n] = [f"{o},{d}," for o in names for d in names]
             window = f"{p.window_start!r},{p.window_end!r},"
             predicted = np.asarray(p.predicted, dtype=float).ravel().tolist()

@@ -4,9 +4,12 @@ File formats owned by this module:
 
 * event CSV: header line ``origin,destination,timestamp``; origin and
   destination are strings resolved through the :class:`NodeCatalog`;
-  timestamp is a decimal number of seconds.  UTF-8, LF or CRLF.
-* catalog CSV: header line ``name,index``.  When no catalog file is given,
-  node identifiers are taken to be the indices themselves.
+  timestamp is a decimal number of seconds.  UTF-8, LF or CRLF.  Fields may
+  be quoted as the ``csv`` module quotes them (names with commas, quotes or
+  line breaks); unquoted blocks of rows are cut with ``str.split``.
+* catalog CSV: header line ``name,index``, one distinct name per node.  When
+  no catalog file is given, node identifiers are taken to be the indices
+  themselves.
 
 In memory the stream is one :class:`EventStream` of three columns, checked
 once when built; batches are index ranges into it.  :meth:`EventStream.of`
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -162,6 +166,8 @@ class NodeCatalog:
             if len(self.names) != self.n:
                 raise ValueError("names must have one entry per node")
             self._index = {name: i for i, name in enumerate(self.names)}
+            if len(self._index) != self.n:
+                raise ValueError("node names must be distinct")
         else:
             self._index = None
 
@@ -190,12 +196,23 @@ class NodeCatalog:
         return self.names[index] if self.names is not None else str(index)
 
 
+_BLOCK_CHARS = 1 << 16  # characters of whole lines parsed at a time (about 64k)
+_RUN_LINES = 256  # lines read at a time while a block fills
+_ROW_SEPARATORS = np.frombuffer(b",,\n", np.uint8)  # the separators of one plain row
+
+
+def _not_utf8(line: int, exc: UnicodeDecodeError) -> MalformedRow:
+    # The decoder reads ahead in blocks, so the bad byte may sit on a later line.
+    return MalformedRow(line, f"not UTF-8 text at or after this line ({exc.reason})")
+
+
 @contextmanager
-def _csv_rows(source: str | Path | IO, header: tuple[str, ...]) -> Iterator:
-    """The numbered non-blank rows under ``header`` of a CSV path, text or binary stream.
+def _csv_text(source: str | Path | IO, header: tuple[str, ...]) -> Iterator[tuple[IO, int]]:
+    """The text stream of a CSV path, text or binary stream, read past ``header``,
+    and the number of lines the header took.
 
     A file opened here is closed on exit, error or not; a stream passed in stays
-    open.  A wrong header, non-UTF-8 bytes and csv errors raise :class:`MalformedRow`.
+    open.  A wrong header, non-UTF-8 bytes and csv errors in it raise :class:`MalformedRow`.
     """
     is_path = isinstance(source, (str, Path))
     if is_path:
@@ -209,23 +226,177 @@ def _csv_rows(source: str | Path | IO, header: tuple[str, ...]) -> Iterator:
         stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
     else:
         stream = source
-    reader = csv.reader(stream, strict=True)  # a file cut inside a quoted field is an error
     try:
-        first = next(reader, None)
+        reader = csv.reader(stream, strict=True)  # a file cut inside a quoted field is an error
+        try:
+            first = next(reader, None)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(reader.line_num + 1, exc) from None
+        except csv.Error as exc:
+            raise MalformedRow(reader.line_num, str(exc)) from None
         if first is None or [h.strip().lower() for h in first] != list(header):
             raise MalformedRow(1, f"expected header {','.join(header)}, got {first}")
-        yield ((line, row) for line, row in enumerate(reader, start=2) if row)
-    except UnicodeDecodeError as exc:
-        # The decoder reads ahead in blocks, so the bad byte may sit on a later line.
-        raise MalformedRow(reader.line_num + 1,
-                           f"not UTF-8 text at or after this line ({exc.reason})") from None
-    except csv.Error as exc:
-        raise MalformedRow(reader.line_num, str(exc)) from None
+        yield stream, reader.line_num
     finally:
         if is_path:
             stream.close()
         elif stream is not source:
             stream.detach()  # hand the caller's binary stream back unclosed
+
+
+@contextmanager
+def _csv_rows(source: str | Path | IO, header: tuple[str, ...]) -> Iterator:
+    """The numbered non-blank rows under ``header`` of a CSV path, text or binary stream.
+
+    Streams are handled as by :func:`_csv_text`; non-UTF-8 bytes and csv errors
+    raise :class:`MalformedRow`.
+    """
+    with _csv_text(source, header) as (stream, header_lines):
+        reader = csv.reader(stream, strict=True)
+        try:
+            yield ((line, row) for line, row in enumerate(reader, start=2) if row)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(header_lines + reader.line_num + 1, exc) from None
+        except csv.Error as exc:
+            raise MalformedRow(header_lines + reader.line_num, str(exc)) from None
+
+
+def _plain_cells(lines: list[str]) -> list[str] | None:
+    """The cells of ``lines``, three per line, cut with ``str.split``; None unless
+    ``csv.reader`` would cut them the same way.
+
+    That holds when the lines have no quote, no NUL (older csv modules reject
+    it), no carriage return outside ``\\r\\n``, one line break each, at its end
+    (the last line may have none), two commas each and no field over
+    ``csv.field_size_limit()``.  Streams end lines after ``\\n`` or a lone
+    ``\\r``; only one opened with ``newline="\\r"`` also ends them inside
+    ``\\r\\n``, and then its first line ends in ``\\r``.
+    """
+    text = "".join(lines)
+    if ('"' in text or "\0" in text
+            or ("\r" in text and text.count("\r") != text.count("\r\n"))
+            or not (len(lines) == 1 or lines[0].endswith("\n"))):
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    codes = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    seps = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    # ",,\n" once per line: one line break per line, so each line ends at its own.
+    # A field's UTF-8 length bounds its character count from above.
+    if (seps.size != 3 * len(lines) or not (codes[seps].reshape(-1, 3) == _ROW_SEPARATORS).all()
+            or np.diff(seps, prepend=-1).max() > csv.field_size_limit() + 1):
+        return None
+    return text[:-1].replace("\n", ",").split(",")  # a time cell may keep its \r
+
+
+def _raising(exc: Exception) -> Iterator[str]:
+    """An iterator whose first step raises ``exc``."""
+    raise exc
+    yield  # a generator, so the raise waits for the first step
+
+
+def _blocks(stream: IO) -> Iterator[tuple[list[str], Iterator[str]]]:
+    """The lines of ``stream`` in blocks of about ``_BLOCK_CHARS`` characters, each
+    with the lines that follow it.
+
+    A decode error ends the blocks where the stream raised it: the lines read
+    before it come as one more block, whose following lines raise it, and then it
+    is raised.  ``list.extend`` keeps the lines it got before the error, so a
+    line-at-a-time read would meet the error at the same line.
+    """
+    while True:
+        lines: list[str] = []
+        chars = 0
+        try:
+            while chars < _BLOCK_CHARS:
+                start = len(lines)
+                lines.extend(itertools.islice(stream, _RUN_LINES))
+                if len(lines) == start:
+                    break
+                chars += sum(map(len, lines[start:]))
+        except UnicodeDecodeError as exc:
+            if lines:
+                yield lines, _raising(exc)
+            raise
+        if not lines:
+            return
+        yield lines, stream
+
+
+def _csv_records(lines: list[str], rest: Iterator[str],
+                 line: int) -> tuple[list[list[str]], int, MalformedRow | None]:
+    """``csv.reader``'s records of ``lines``, which follow line ``line``, the lines
+    it used and the error that stopped it, if any.  A quoted line break that runs
+    past the last line is followed into ``rest`` to the end of its record."""
+    reader = csv.reader(itertools.chain(lines, rest), strict=True)
+    records: list[list[str]] = []
+    try:
+        while reader.line_num < len(lines):
+            records.append(next(reader))
+    except UnicodeDecodeError as exc:
+        return records, reader.line_num, _not_utf8(line + reader.line_num + 1, exc)
+    except csv.Error as exc:
+        return records, reader.line_num, MalformedRow(line + reader.line_num, str(exc))
+    return records, reader.line_num, None
+
+
+class _Resolved(dict):
+    """Node index by raw name cell, with one ``catalog.resolve`` per distinct cell."""
+
+    def __init__(self, catalog: NodeCatalog):
+        super().__init__()
+        self.catalog = catalog
+
+    def __missing__(self, cell: str) -> int:
+        self[cell] = index = self.catalog.resolve(cell.strip())
+        return index
+
+
+def _columns(cells: list[str], resolved: _Resolved,
+             last: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The columns of a plain block's ``cells`` (three per row) after events up to
+    time ``last``; None when a row fails a check: an unknown node, a bad,
+    non-finite or decreasing time."""
+    rows = len(cells) // 3
+    try:
+        origins = np.fromiter(map(resolved.__getitem__, cells[0::3]), np.int64, rows)
+        destinations = np.fromiter(map(resolved.__getitem__, cells[1::3]), np.int64, rows)
+        times = np.fromiter(map(float, cells[2::3]), np.float64, rows)
+    except (UnknownNode, ValueError):
+        return None
+    if (not np.isfinite(times).all() or (times.size and times[0] < last)
+            or (times[1:] < times[:-1]).any()):
+        return None
+    return origins, destinations, times
+
+
+def _walk(records: Iterable[list[str]], line: int, resolved: _Resolved,
+          last: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check ``records``, numbered from ``line``, one row at a time after events up
+    to time ``last``: the first bad row raises its error, with its line."""
+    origins, destinations, times = [], [], []
+    for line, row in enumerate(records, start=line):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise MalformedRow(line, f"expected 3 fields, got {len(row)}")
+        try:
+            origins.append(resolved[row[0]])
+            destinations.append(resolved[row[1]])
+        except UnknownNode as exc:
+            raise UnknownNode(f"line {line}: {exc}") from None
+        try:
+            timestamp = float(row[2])
+        except ValueError:
+            raise MalformedRow(line, f"bad timestamp {row[2]!r}") from None
+        if not math.isfinite(timestamp):
+            raise MalformedRow(line, f"non-finite timestamp {row[2]!r}")
+        if timestamp < last:
+            raise NonMonotonicTimestamp(line, timestamp, last)
+        times.append(timestamp)
+        last = timestamp
+    return (np.array(origins, np.int64), np.array(destinations, np.int64),
+            np.array(times, np.float64))
 
 
 def parse_events(source: str | Path | IO, catalog: NodeCatalog) -> EventStream:
@@ -234,27 +405,40 @@ def parse_events(source: str | Path | IO, catalog: NodeCatalog) -> EventStream:
     Events keep their file order.  Raises :class:`MalformedRow`,
     :class:`UnknownNode`, or :class:`NonMonotonicTimestamp` (all carrying
     the offending 1-based line number where applicable).
+
+    The rows are read in blocks of whole lines, and each distinct name is
+    resolved once.  A plain block (see :func:`_plain_cells`) is cut with one
+    ``str.split`` and its columns are converted and checked as arrays; if a
+    check fails, it is walked again one row at a time, so errors name the same
+    line and say the same as a row-by-row parse.  Any other block is read by
+    ``csv.reader`` and walked one row at a time.
     """
-    origins, destinations, times = [], [], []
-    with _csv_rows(source, EVENT_HEADER) as rows:
-        for line, row in rows:
-            if len(row) != 3:
-                raise MalformedRow(line, f"expected 3 fields, got {len(row)}")
-            try:
-                origins.append(catalog.resolve(row[0].strip()))
-                destinations.append(catalog.resolve(row[1].strip()))
-            except UnknownNode as exc:
-                raise UnknownNode(f"line {line}: {exc}") from None
-            try:
-                timestamp = float(row[2])
-            except ValueError:
-                raise MalformedRow(line, f"bad timestamp {row[2]!r}") from None
-            if not math.isfinite(timestamp):
-                raise MalformedRow(line, f"non-finite timestamp {row[2]!r}")
-            if times and timestamp < times[-1]:
-                raise NonMonotonicTimestamp(line, timestamp, times[-1])
-            times.append(timestamp)
-    return EventStream(origins, destinations, times)
+    resolved = _Resolved(catalog)
+    parts = []
+    last = -math.inf
+    with _csv_text(source, EVENT_HEADER) as (stream, lines_read):
+        record = 2  # rows are numbered by record: blank lines count, quoted line breaks do not
+        try:
+            for lines, rest in _blocks(stream):
+                cells = _plain_cells(lines)
+                if cells is not None:
+                    records, used = lines, len(lines)
+                    part = _columns(cells, resolved, last)
+                    if part is None:
+                        part = _walk(csv.reader(lines), record, resolved, last)
+                else:
+                    records, used, error = _csv_records(lines, rest, lines_read)
+                    part = _walk(records, record, resolved, last)
+                    if error is not None:
+                        raise error
+                parts.append(part)
+                if len(part[2]):
+                    last = float(part[2][-1])
+                lines_read += used
+                record += len(records)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(lines_read + 1, exc) from None
+    return EventStream(*([np.concatenate(column) for column in zip(*parts)] or ([], [], [])))
 
 
 def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable) -> None:
@@ -281,12 +465,17 @@ def load_catalog(path: str | Path | None, n: int | None = None) -> NodeCatalog:
             raise ValueError("need either a catalog file or an explicit node count")
         return NodeCatalog(n=n)
     pairs: list[tuple[str, int]] = []
+    seen: set[str] = set()
     with _csv_rows(path, CATALOG_HEADER) as rows:
         for line, row in rows:
             if len(row) != 2:
                 raise MalformedRow(line, f"expected 2 fields, got {len(row)}")
+            name = row[0].strip()
+            if name in seen:
+                raise MalformedRow(line, f"duplicate catalog name {name!r}")
+            seen.add(name)
             try:
-                pairs.append((row[0].strip(), int(row[1])))
+                pairs.append((name, int(row[1])))
             except ValueError:
                 raise MalformedRow(line, f"bad index {row[1]!r}") from None
     count = len(pairs)

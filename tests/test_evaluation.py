@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -265,6 +266,20 @@ class TestPredictWalk:
                         fh.write(row + "\n")
         assert len(preds) > 4
         assert path.read_bytes() == ref.read_bytes()
+
+    def test_csv_quotes_names_that_need_it(self, tmp_path):
+        hyper, params, _ = tiny_model()
+        names = ("a,b", 'q"x', "plain")
+        catalog = NodeCatalog(n=3, names=names)
+        preds = predict_walk(params, tiny_stream(3, 3, seed=2), catalog, hyper, t0=0.0,
+                             until=180.0)
+        path = tmp_path / "pred.csv"
+        write_predictions_csv(preds, catalog, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh, strict=True))
+        assert all(len(row) == 6 for row in rows)
+        pairs = [(o, d) for o in names for d in names]
+        assert [(row[0], row[1]) for row in rows[1:]] == pairs * len(preds)
 
 
 class TestExports:

@@ -1,20 +1,23 @@
 import csv
 import gc
 import io
+import math
 import string
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odcast import events as events_module
 from odcast.errors import MalformedRow, NonMonotonicTimestamp, OdcastError, UnknownNode
-from odcast.events import (EventBatch, EventStream, NodeCatalog, TransactionEvent, batch_by_cap,
-                           batch_by_window, build_od_matrix, default_t0, load_catalog,
-                           od_matrix_series, parse_events, write_catalog_csv,
+from odcast.events import (EVENT_HEADER, EventBatch, EventStream, NodeCatalog, TransactionEvent,
+                           batch_by_cap, batch_by_window, build_od_matrix, default_t0,
+                           load_catalog, od_matrix_series, parse_events, write_catalog_csv,
                            write_events_csv)
 
 
@@ -74,6 +77,309 @@ def csv_bytes(header, table, data, kind):
         at = data.draw(st.integers(0, len(raw)))
         raw = raw[:at] + data.draw(st.sampled_from(BAD_UTF8)) + raw[at:]
     return raw
+
+
+def reference_parse(stream, catalog):
+    """The row-at-a-time parse that block parsing replaced: ``csv.reader`` over the
+    text stream and the per-row checks, one row at a time."""
+    origins, destinations, times = [], [], []
+    reader = csv.reader(stream, strict=True)
+    try:
+        first = next(reader, None)
+        if first is None or [h.strip().lower() for h in first] != list(EVENT_HEADER):
+            raise MalformedRow(1, f"expected header {','.join(EVENT_HEADER)}, got {first}")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise MalformedRow(line, f"expected 3 fields, got {len(row)}")
+            try:
+                origins.append(catalog.resolve(row[0].strip()))
+                destinations.append(catalog.resolve(row[1].strip()))
+            except UnknownNode as exc:
+                raise UnknownNode(f"line {line}: {exc}") from None
+            try:
+                timestamp = float(row[2])
+            except ValueError:
+                raise MalformedRow(line, f"bad timestamp {row[2]!r}") from None
+            if not math.isfinite(timestamp):
+                raise MalformedRow(line, f"non-finite timestamp {row[2]!r}")
+            if times and timestamp < times[-1]:
+                raise NonMonotonicTimestamp(line, timestamp, times[-1])
+            times.append(timestamp)
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(reader.line_num + 1,
+                           f"not UTF-8 text at or after this line ({exc.reason})") from None
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
+    return EventStream(origins, destinations, times)
+
+
+def outcome(parse, source, catalog):
+    """The parsed columns' bytes, or the error's class, line and message."""
+    try:
+        stream = parse(source, catalog)
+    except OdcastError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return tuple(getattr(stream, name).tobytes() for name in ("origins", "destinations", "times"))
+
+
+def sources(text, kind, chunk=8192, bad=None):
+    """The same text as the parser's and the reference's source.  Bytes are read
+    as a path is, with ``newline=""``; a text stream (``str``, or a newline
+    mode) is read as it is, with its own line ends, and decoded ``chunk`` bytes
+    at a time.  ``bad``, a (fraction, bytes) pair, splices invalid UTF-8 into
+    the bytes that far in."""
+    raw = text.encode("utf-8")
+    if bad is not None:
+        at = int(bad[0] * len(raw))
+        raw = raw[:at] + bad[1] + raw[at:]
+    if kind == "bytes":
+        return io.BytesIO(raw), io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    if kind == "str":
+        return io.StringIO(text), io.StringIO(text)
+    pair = tuple(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=kind)
+                 for _ in range(2))
+    for stream in pair:
+        stream._CHUNK_SIZE = chunk
+    return pair
+
+
+def block_starts(text):
+    """The line number of each block's first line, as the parser reads ``text``."""
+    stream = io.StringIO(text, newline="")
+    stream.readline()  # the header
+    starts, line = [], 2
+    for lines, _ in events_module._blocks(stream):
+        starts.append(line)
+        line += len(lines)
+    return starts
+
+
+QUOTED_NAMES = ("a", "b,c", 'q"x', "s p\nq")
+
+
+@st.composite
+def event_csv_texts(draw):
+    """An event CSV text and its catalog: valid rows, a few of them corrupted.
+    Names have commas, quotes and spaces; rows are written quoted or raw and
+    end in LF, CRLF or bare CR; blank and whitespace-only lines come between
+    them.  Corruptions bring NUL, long fields, unknown names, extra or missing
+    cells, and bad, non-finite and decreasing times."""
+    catalog = NodeCatalog(n=4, names=QUOTED_NAMES if draw(st.booleans()) else None)
+    known = st.sampled_from([catalog.name_of(i) for i in range(4)])
+    pad = st.text(" ", max_size=12)
+    name = st.one_of(known, st.tuples(pad, known, pad).map("".join))
+    rows = draw(st.lists(st.tuples(name, name, st.floats(0, 1e6).map(repr)).map(list),
+                         max_size=30))
+    if draw(st.sampled_from([True] * 4 + [False])):  # mostly in order, so later rows are reached
+        for row, stamp in zip(rows, sorted(float(row[2]) for row in rows)):
+            row[2] = repr(stamp)
+    bad_time = st.sampled_from(["frog", "", "nan", "inf", "-Infinity", "1e999", " 5 ", "1" * 20,
+                                "1_0", "0x1", "0.5", "-1"])
+    junk = st.one_of(st.sampled_from(["zz", "", "9", "-1", '"a"', 'a"']), bad_time,
+                     st.text(',"\r\n\0 ab1.', max_size=6))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        at = draw(st.integers(0, len(row)))
+        change = draw(st.sampled_from(["time", "replace", "insert", "drop"]))
+        if change == "time" and row:
+            row[-1] = draw(bad_time)
+        elif change == "insert":
+            row.insert(at, draw(junk))
+        elif row:
+            at = min(at, len(row) - 1)
+            if change == "drop":
+                del row[at]
+            else:
+                row[at] = draw(junk)
+    header = draw(st.sampled_from(["origin,destination,timestamp",
+                                   '"origin",destination,timestamp',
+                                   "Origin , destination,TIMESTAMP"]))
+    if draw(st.sampled_from([False] * 15 + [True])):
+        header = "origin,destination"
+    out = [header, draw(st.sampled_from(["\n", "\r\n", "\r"]))]
+    for row in rows:
+        if draw(st.sampled_from([True] * 3 + [False])):  # mostly quoted where needed, else raw
+            quoted = io.StringIO()
+            csv.writer(quoted, lineterminator="").writerow(row)
+            out.append(quoted.getvalue())
+        else:
+            out.append(",".join(row))
+        out.append(draw(st.sampled_from(["\n"] * 6 + ["\r\n"] * 3 + ["\r"])))
+        if draw(st.sampled_from([False] * 19 + [True])):
+            out.append(draw(st.sampled_from(["\n", "\n", "\r\n", "  \n", "\t\n"])))
+    text = "".join(out)
+    return (text.rstrip("\r\n") if draw(st.booleans()) else text), catalog
+
+
+class TestBlockParsing:
+    @settings(max_examples=400, deadline=None)
+    @given(case=event_csv_texts(), kind=st.sampled_from(["bytes", "str", None, "\n", "\r", "\r\n"]),
+           block=st.sampled_from([1, 7, 40, 1 << 16]), run=st.sampled_from([1, 2, 256]),
+           limit=st.sampled_from([None, None, 20]), chunk=st.sampled_from([1, 5, 8192]),
+           bad=st.one_of(st.none(), st.tuples(st.floats(0, 1), st.sampled_from(BAD_UTF8))))
+    def test_matches_the_row_at_a_time_parse(self, case, kind, block, run, limit, chunk, bad):
+        # Small blocks put block edges everywhere; a small field limit makes long fields;
+        # small decode chunks let invalid UTF-8 stop the read at its own line.
+        text, catalog = case
+        previous = csv.field_size_limit()
+        try:
+            if limit is not None:
+                csv.field_size_limit(limit)
+            source, reference_source = sources(text, kind, chunk, bad)
+            with mock.patch.multiple(events_module, _BLOCK_CHARS=block, _RUN_LINES=run):
+                got = outcome(parse_events, source, catalog)
+            expected = outcome(reference_parse, reference_source, catalog)
+        finally:
+            csv.field_size_limit(previous)
+        assert got == expected
+
+    @staticmethod
+    def multi_block_text(rows):
+        """An event CSV of ``rows`` rows over NAMES, fixed width, at least 4 blocks."""
+        body = "".join(f"{NAMES[k % 4]:>5},{NAMES[(k * 7) % 4]:>5},{k:012d}.5\n"
+                       for k in range(rows))
+        text = "origin,destination,timestamp\n" + body
+        assert len(block_starts(text)) > 3
+        return text
+
+    def test_decreasing_time_on_a_block_edge(self):
+        text = self.multi_block_text(12_000)
+        line = block_starts(text)[1]
+        lines = text.split("\n")
+        lines[line - 1] = lines[line - 1][:12] + f"{0:012d}.5"
+        text = "\n".join(lines)
+        assert block_starts(text)[1] == line
+        catalog = NodeCatalog(n=4, names=NAMES)
+        with pytest.raises(NonMonotonicTimestamp) as err:
+            parse_events(io.StringIO(text), catalog)
+        assert err.value.line == line
+        assert outcome(parse_events, io.StringIO(text), catalog) == \
+            outcome(reference_parse, io.StringIO(text), catalog)
+
+    def test_unknown_name_in_the_third_block(self):
+        text = self.multi_block_text(12_000)
+        starts = block_starts(text)
+        line = (starts[2] + starts[3]) // 2
+        lines = text.split("\n")
+        lines[line - 1] = "nowhr" + lines[line - 1][5:]
+        text = "\n".join(lines)
+        assert starts[2] <= line < block_starts(text)[3]
+        catalog = NodeCatalog(n=4, names=NAMES)
+        with pytest.raises(UnknownNode, match=f"^line {line}: unknown node name 'nowhr'$"):
+            parse_events(io.StringIO(text), catalog)
+        assert outcome(parse_events, io.StringIO(text), catalog) == \
+            outcome(reference_parse, io.StringIO(text), catalog)
+
+    def test_a_line_ended_by_a_bare_cr_is_not_split_again(self):
+        # A newline="\r" stream ends lines at \r: csv.reader then sees "\nA,B,2" as a
+        # line with a line break before its first field.
+        text = "origin,destination,timestamp\rA,B,1\r\nA,B,2"
+        got, expected = (outcome(parse, io.TextIOWrapper(io.BytesIO(text.encode()), newline="\r"),
+                                 make_catalog_ab())
+                         for parse in (parse_events, reference_parse))
+        assert got == expected and expected[:2] == (MalformedRow, 3)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("width", [15, 16, 17])
+    def test_fields_at_the_csv_field_limit(self, width, end):
+        text = f"origin,destination,timestamp\nA,B,1{end}{'A':>{width}},B,2{end}B,A,3{end}"
+        previous = csv.field_size_limit(16)
+        try:
+            got, expected = (outcome(parse, io.StringIO(text), make_catalog_ab())
+                             for parse in (parse_events, reference_parse))
+        finally:
+            csv.field_size_limit(previous)
+        assert got == expected
+        assert (expected[0] is MalformedRow) == (width > 16)
+
+    @staticmethod
+    def with_bad_byte(text, line):
+        """``text`` as UTF-8 with a 0xff byte at the start of line ``line``."""
+        lines = text.encode("utf-8").split(b"\n")
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        return b"\n".join(lines)
+
+    def test_bad_byte_in_a_later_block(self, tmp_path):
+        text = self.multi_block_text(12_000)
+        line = (block_starts(text)[2] + block_starts(text)[3]) // 2
+        raw = self.with_bad_byte(text, line)
+        catalog = NodeCatalog(n=4, names=NAMES)
+        # Decoded one byte at a time, the read stops on the bad byte's own line.
+        got = []
+        for parse in (parse_events, reference_parse):
+            stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+            stream._CHUNK_SIZE = 1
+            got.append(outcome(parse, stream, catalog))
+        assert got[0] == got[1] == (
+            MalformedRow, line, f"line {line}: not UTF-8 text at or after this line "
+                                "(invalid start byte)")
+        # Decoded in the default chunks, it stops a chunk early, where the
+        # row-at-a-time parse stops.
+        path = tmp_path / "events.csv"
+        path.write_bytes(raw)
+        with open(path, encoding="utf-8", newline="") as stream:
+            expected = outcome(reference_parse, stream, catalog)
+        assert outcome(parse_events, path, catalog) == expected
+        assert expected[0] is MalformedRow and line - 8192 // 27 - 1 <= expected[1] <= line
+
+    def test_a_row_error_before_a_bad_byte_comes_first(self):
+        # The bad row is two decode chunks before the bad byte, in the same block.
+        text = self.multi_block_text(12_000)
+        starts = block_starts(text)
+        line = starts[2] + 1500
+        assert starts[2] <= line - 700 and line < starts[3]
+        lines = text.split("\n")
+        lines[line - 701] = "nowhr" + lines[line - 701][5:]
+        raw = self.with_bad_byte("\n".join(lines), line)
+        catalog = NodeCatalog(n=4, names=NAMES)
+        got = outcome(parse_events, io.BytesIO(raw), catalog)
+        assert got == outcome(reference_parse,
+                              io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""),
+                              catalog)
+        assert got == (UnknownNode, None, f"line {line - 700}: unknown node name 'nowhr'")
+
+    @pytest.mark.parametrize("block", [1, 1 << 16], ids=["line-blocks", "one-block"])
+    def test_bad_byte_inside_a_quoted_line_break(self, block):
+        # csv.reader meets the bad byte while it follows the record on line 3 past
+        # the block's lines: into the stream, or into the decode error that ended them.
+        raw = b'origin,destination,timestamp\na,"b,c",1\n"s p\n\xffq",a,2\na,a,3\n'
+        catalog = NodeCatalog(n=4, names=QUOTED_NAMES)
+        got = []
+        for parse in (parse_events, reference_parse):
+            stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+            stream._CHUNK_SIZE = 1
+            with mock.patch.multiple(events_module, _BLOCK_CHARS=block, _RUN_LINES=1):
+                got.append(outcome(parse, stream, catalog))
+        assert got[0] == got[1] == (
+            MalformedRow, 4, "line 4: not UTF-8 text at or after this line (invalid start byte)")
+
+    def test_quoted_rows_across_blocks(self, tmp_path):
+        # Every fourth name holds a line break, so rows are records, not lines.
+        catalog = NodeCatalog(n=4, names=QUOTED_NAMES)
+        rows = [ev(k % 4, (k * 3) % 4, k / 4) for k in range(12_000)]
+        path = tmp_path / "events.csv"
+        write_events_csv(rows, catalog, path)
+        assert len(block_starts(path.read_text(encoding="utf-8"))) > 3
+        assert parse_events(path, catalog) == EventStream.of(rows)
+        rows[11_000] = ev(0, 1, 0.5)
+        write_events_csv(rows, catalog, path)
+        with pytest.raises(NonMonotonicTimestamp) as err:
+            parse_events(path, catalog)
+        assert err.value.line == 11_002
+
+    @pytest.mark.parametrize("names", [NAMES, QUOTED_NAMES], ids=["plain", "quoted"])
+    def test_resolve_runs_once_per_distinct_name(self, tmp_path, names):
+        catalog = NodeCatalog(n=4, names=names)
+        rows = [ev(k % 4, (k // 4) % 4, float(k)) for k in range(10_000)]
+        path = tmp_path / "events.csv"
+        write_events_csv(rows, catalog, path)
+        calls = []
+        resolve = catalog.resolve
+        catalog.resolve = lambda name: calls.append(name) or resolve(name)
+        assert parse_events(path, catalog) == EventStream.of(rows)
+        assert sorted(calls) == sorted(names)
 
 
 class TestParseEvents:
@@ -230,6 +536,14 @@ class TestCatalogFiles:
     def test_features_default_one_hot(self):
         catalog = NodeCatalog(n=3)
         assert np.array_equal(catalog.features, np.eye(3))
+
+    def test_duplicate_catalog_name_is_malformed_at_its_second_line(self):
+        with pytest.raises(MalformedRow, match="^line 4: duplicate catalog name 'A'$"):
+            load_catalog(io.StringIO("name,index\nA,0\nB,1\n A ,2\n"))
+
+    def test_repeated_names_are_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            NodeCatalog(n=3, names=("A", "B", "A"))
 
     def test_catalog_without_rows_is_malformed(self):
         with pytest.raises(MalformedRow):
