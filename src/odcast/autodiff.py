@@ -75,9 +75,6 @@ class Tensor:
     def __getitem__(self, index) -> "View":
         return View(self, index)
 
-    def t(self) -> "Tensor":
-        return transpose(self)
-
     def backward(self) -> None:
         backward(self)
 

@@ -37,10 +37,6 @@ class NonMonotonicTimestamp(OdcastError):
 
 # -- memory / model ----------------------------------------------------------
 
-class NodeNotEndpoint(OdcastError):
-    """The requested node is neither origin nor destination of the event."""
-
-
 class TimeRegression(OdcastError):
     """An update was requested for a time before the last update."""
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DegenerateNormalizer, NodeNotEndpoint, TimeRegression
-from .events import EventBatch, Events, EventStream, NodeCatalog, TransactionEvent
+from .errors import DegenerateNormalizer, TimeRegression
+from .events import EventBatch, Events, EventStream, NodeCatalog
 
 #: Default decay rate: one-hour half-life.
 DEFAULT_DECAY_RATE = math.log(2.0) / 3600.0
@@ -91,32 +91,6 @@ class StationMessages:
 
     def node(self, i: int) -> StationMessage:
         return StationMessage(p=self.p[i], q=float(self.q[i]))
-
-
-def event_representation(event: TransactionEvent, for_node: int, reps: np.ndarray,
-                         catalog: NodeCatalog, include_features: bool = True,
-                         include_role: bool = True) -> np.ndarray:
-    """Representation of an event as seen from one of its endpoints.
-
-    Returns ``[r_other ; F_other ; role]`` where ``other`` is the opposite
-    endpoint, ``r_other`` its stored representation, ``F_other`` its feature
-    row, and role is +1 when ``for_node`` is the origin, -1 when it is the
-    destination.  For a self-loop, the origin role takes precedence.
-    """
-    if for_node == event.origin:
-        other, role = event.destination, 1.0
-    elif for_node == event.destination:
-        other, role = event.origin, -1.0
-    else:
-        raise NodeNotEndpoint(
-            f"node {for_node} is not an endpoint of ({event.origin}, {event.destination})"
-        )
-    parts = [reps[other]]
-    if include_features:
-        parts.append(catalog.features[other])
-    if include_role:
-        parts.append(np.array([role]))
-    return np.concatenate(parts)
 
 
 def aggregate_messages(batch: EventBatch, reps: np.ndarray, catalog: NodeCatalog,

@@ -1,8 +1,14 @@
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from odcast.cli import main
+from odcast.cli import COMMANDS, main, typed
+from odcast.errors import UsageError
+from odcast.synthesis import RateSegment
 from odcast.training import load_checkpoint
 
 
@@ -189,6 +195,26 @@ def test_ablation_flag_round_trip(tmp_path, synth_dir):
     assert hyper.mse_loss and not hyper.no_multilevel
 
 
+# Config-file values that no flag overrides; each must fail before any window is built.
+TRAIN_CONFIGS = {
+    "string-false-bool": {"no_multilevel": "false"},
+    "string-bool": {"relation_scale": "no"},
+    "fractional-int": {"dim": 3.7},
+    "bool-as-int": {"dim": True},
+    "fractional-seed": {"seed": 1.5},
+    "unknown-key": {"dimm": 64},
+    "nan-string-tau": {"tau": "nan"},
+    "nan-string-decay": {"decay_rate": "nan"},
+    "tau-key-too-many-windows": {"tau": 1e-300},
+}
+PROFILES = {
+    "profile-not-a-list": {"profile": 5},
+    "profile-unknown-segment-key": {"profile": [{"bogus": 1}]},
+    "profile-end-before-start": {"profile": [{"origin_group": 0, "dest_group": 0, "start": 7200.0,
+                                              "end": 3600.0, "multiplier": 2.0}]},
+}
+
+
 @pytest.mark.parametrize("argv, code, error", [
     (["train", "--events", "{tmp}/missing.csv", "--n", "4"], 1, "IoError"),
     (["train", "--events", "{events}", "--catalog", "{tmp}/missing.csv"], 1, "IoError"),
@@ -205,12 +231,20 @@ def test_ablation_flag_round_trip(tmp_path, synth_dir):
     (["predict", "--checkpoint", "{checkpoint}", "--events", "{events}",
       "--catalog", "{catalog}", "--t0", "90000", "--out", "{tmp}/pred.csv"], 2, "UsageError"),
     (["train", "--events", "{tmp}/latin1.csv", "--n", "4"], 1, "MalformedRow"),
+    *((["train", "--config", f"{{tmp}}/{name}.json", "--events", "{events}",
+        "--catalog", "{catalog}"], 2, "UsageError") for name in TRAIN_CONFIGS),
+    (["train", "--events", "{events}", "--catalog", "{catalog}", "--tau", "1e-300"], 2,
+     "UsageError"),
+    *((["synth", "--config", f"{{tmp}}/{name}.json", "--out", "{tmp}/synth"], 2, "UsageError")
+      for name in PROFILES),
 ], ids=["missing-events", "missing-catalog", "zero-heads", "tau-not-dividing-day",
         "node-out-of-range", "zero-cap", "non-integer-config-value", "t0-after-first-event",
-        "non-utf8-events"])
+        "non-utf8-events", *TRAIN_CONFIGS, "tau-flag-too-many-windows", *PROFILES])
 def test_bad_input_is_one_line_error(tmp_path, capsys, synth_dir, trained_dir, argv, code,
                                      error):
     (tmp_path / "dim.json").write_text(json.dumps({"dim": "abc"}))
+    for name, config in {**TRAIN_CONFIGS, **PROFILES}.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
     (tmp_path / "latin1.csv").write_bytes(b"origin,destination,timestamp\n0,1,1.0\n\xe9,1,2.0\n")
     paths = {"tmp": tmp_path, "events": synth_dir / "events.csv",
              "catalog": synth_dir / "catalog.csv", "checkpoint": trained_dir / "checkpoint.bin"}
@@ -218,3 +252,77 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, synth_dir, trained_dir, a
     assert run(*(arg.format(**paths) for arg in argv)) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{error}: ")
+
+
+def test_lambda_alias_and_other_subcommands_keys(tmp_path, synth_dir):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dim": 6, "msg_dim": 6, "heads": 2, "epochs": 1, "lambda": 0.001, "rel_dim": None,
+        "train_days": 1.0, "val_days": 0.5, "test_days": 0.5, "cap": 50, "checkpoint": "x.bin",
+        "events": str(synth_dir / "events.csv"), "catalog": str(synth_dir / "catalog.csv"),
+    }))
+    out = tmp_path / "run"
+    assert run("train", "--config", str(config), "--out", str(out)) == 0
+    _, _, hyper = load_checkpoint(out / "checkpoint.bin")
+    assert hyper.decay_rate == 0.001 and hyper.rel_dim == 3   # null rel_dim means unset
+    echoed = json.loads((out / "run_config.json").read_text())["config"]
+    assert echoed["decay_rate"] == 0.001 and "lambda" not in echoed
+
+
+def test_synth_profile_from_config(tmp_path):
+    config = tmp_path / "profile.json"
+    config.write_text(json.dumps({"profile": [
+        {"origin_group": 0, "dest_group": 1, "start": 0, "end": 3600.0, "multiplier": 3.0,
+         "days": [0, 1]}]}))
+    out = tmp_path / "synth"
+    assert run("synth", "--config", str(config), "--out", str(out), "--n", "4",
+               "--days", "0.1") == 0
+    # Echoed as typed: the integer start widened to float, days a tuple.
+    assert json.loads((out / "run_config.json").read_text())["config"]["profile"] == [
+        "RateSegment(origin_group=0, dest_group=1, start=0.0, end=3600.0, multiplier=3.0, "
+        "days=(0, 1))"]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_help_lists_every_flagged_key(capsys, name):
+    assert run(name, "--help") == 0
+    flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    for key, spec in COMMANDS[name][2].items():
+        assert (f"--{key.replace('_', '-')}" in flags) == (spec.help is not None), key
+
+
+SEGMENT_KEYS = ["origin_group", "dest_group", "start", "end", "multiplier"]
+json_leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+               | st.sampled_from([10**400, -(10**400), 2.0, 1e300, math.nan, math.inf, "0,2",
+                                  " 1, 3 ", "1,x", "no-ml", "mse-loss", "nan"]))
+json_values = json_leaves | st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from([*SEGMENT_KEYS, "days", "bogus"]), children, max_size=7)
+    | st.fixed_dictionaries({key: children for key in SEGMENT_KEYS},
+                            optional={"days": children | st.lists(st.integers(0, 6))}),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), value=json_values)
+def test_any_json_value_types_or_is_usage_error(data, value):
+    name = data.draw(st.sampled_from(sorted(COMMANDS)))
+    keys = COMMANDS[name][2]
+    key = data.draw(st.sampled_from(sorted(keys)))
+    kind = keys[key].kind
+    try:
+        result = typed(key, kind, value)
+    except UsageError as exc:
+        assert key in str(exc) and "\n" not in str(exc)
+        return
+    if kind in (bool, int, float, str):
+        assert type(result) is kind and result == value
+        assert kind not in (int, float) or type(value) is not bool
+        assert kind is not float or math.isfinite(result)
+    elif isinstance(kind, tuple):
+        assert result in kind
+    elif key == "nodes":
+        assert all(type(node) is int for node in result)
+    else:
+        assert key == "profile" and all(isinstance(seg, RateSegment) for seg in result)

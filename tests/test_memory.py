@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odcast.errors import NodeNotEndpoint, TimeRegression
+from odcast.errors import TimeRegression
 from odcast.events import EventBatch, NodeCatalog, TransactionEvent, batch_by_window
 from odcast.memory import (DecayConfig, StationMemory, StationMessage, aggregate_messages,
-                           event_representation, oracle_representation,
-                           read_representation, update_station_memory)
+                           oracle_representation, read_representation, update_station_memory)
 
 identity = lambda p: p  # noqa: E731
 
@@ -32,31 +31,6 @@ def batches(draw):
     return n, reps, tuple(events)
 
 
-class TestEventRepresentation:
-    def test_origin_view(self):
-        catalog = NodeCatalog(n=2)
-        reps = np.zeros((2, 2))
-        s = event_representation(ev(0, 1, 0.0), 0, reps, catalog)
-        assert np.array_equal(s, [0.0, 0.0, 0.0, 1.0, 1.0])
-
-    def test_destination_view(self):
-        catalog = NodeCatalog(n=2)
-        reps = np.array([[0.5, 0.5], [0.0, 0.0]])
-        s = event_representation(ev(0, 1, 0.0), 1, reps, catalog)
-        assert np.array_equal(s, [0.5, 0.5, 1.0, 0.0, -1.0])
-
-    def test_self_loop_origin_role_wins(self):
-        catalog = NodeCatalog(n=2)
-        reps = np.array([[0.25, -0.5], [0.0, 0.0]])
-        s = event_representation(ev(0, 0, 0.0), 0, reps, catalog)
-        assert np.array_equal(s, [0.25, -0.5, 1.0, 0.0, 1.0])
-
-    def test_not_endpoint(self):
-        catalog = NodeCatalog(n=3)
-        with pytest.raises(NodeNotEndpoint):
-            event_representation(ev(0, 1, 0.0), 2, np.zeros((3, 3)), catalog)
-
-
 class TestAggregateMessages:
     def test_weight_one_at_window_end(self):
         catalog = NodeCatalog(n=2)
@@ -64,9 +38,9 @@ class TestAggregateMessages:
         reps = np.array([[1.0, 2.0], [3.0, 4.0]])
         batch = EventBatch((ev(0, 1, 30.0),), 0.0, 30.0)
         msgs = aggregate_messages(batch, reps, catalog, cfg)
-        s_origin = event_representation(ev(0, 1, 30.0), 0, reps, catalog)
         assert msgs.q[0] == 1.0
-        assert np.array_equal(msgs.p[0], s_origin)
+        # The origin sees [r_destination ; F_destination ; +1].
+        assert np.array_equal(msgs.p[0], [3.0, 4.0, 0.0, 1.0, 1.0])
 
     def test_exponential_weight(self):
         catalog = NodeCatalog(n=2)
