@@ -29,10 +29,13 @@ import numpy as np
 from .errors import NonFiniteValue, NotScalar, ShapeError, TapeReuse
 
 def _assert_finite(data: np.ndarray, where: str) -> None:
-    # A full-array sum is NaN or Inf iff some entry is; cheap single pass.
+    # A full-array sum is NaN or Inf if some entry is; cheap single pass.  Finite
+    # entries can overflow it too, so only a count of non-finite entries raises.
     if not math.isfinite(float(np.add.reduce(data, axis=None))):
         bad = int((~np.isfinite(data)).sum())
-        raise NonFiniteValue(f"{where}: {bad}/{data.size} non-finite entries, shape {data.shape}")
+        if bad:
+            raise NonFiniteValue(f"{where}: {bad}/{data.size} non-finite entries, "
+                                 f"shape {data.shape}")
 
 
 class Tensor:
@@ -230,8 +233,9 @@ def pair_head(a: Tensor, b: Tensor, w: Tensor, c: Tensor) -> Tensor:
     rows = max(1, _PAIR_BLOCK_ELEMENTS // max(1, n * m))
     blocks = [(lo, min(n, lo + rows)) for lo in range(0, n, rows)]
     out = np.empty((n * n, 1))
+    buffer = np.empty((min(rows, n), n, m))  # shared by the blocks: fewer page faults
     for lo, hi in blocks:
-        hidden = a.data[lo:hi, None, :] + b.data
+        hidden = np.add(a.data[lo:hi, None, :], b.data, out=buffer[:hi - lo])
         np.maximum(hidden, 0.0, out=hidden)
         np.matmul(hidden.reshape(-1, m), w.data.T, out=out[lo * n:hi * n])
     out += c.data
@@ -243,8 +247,9 @@ def pair_head(a: Tensor, b: Tensor, w: Tensor, c: Tensor) -> Tensor:
         need_b = b.requires_grad or w.requires_grad
         s_a, s_b = np.zeros((n, m)), np.zeros((n, m))
         if need_a or need_b:
+            buffer = np.empty((min(rows, n), n, m))
             for lo, hi in blocks:
-                mask = a.data[lo:hi, None, :] + b.data
+                mask = np.add(a.data[lo:hi, None, :], b.data, out=buffer[:hi - lo])
                 np.greater(mask, 0.0, out=mask)  # derivative at exactly 0 is 0
                 if need_a:  # s_a[i] = sum_j g[i, j] mask[i, j]
                     s_a[lo:hi] = np.matmul(pairs[lo:hi, None, :], mask)[:, 0]

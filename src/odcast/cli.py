@@ -125,7 +125,11 @@ def _checked(build, *args, **kwargs):
 
 def _splits_from(rc: RunConfig, hyper: HyperParams) -> Splits:
     """The day splits in windows of ``hyper.tau``, within :data:`MAX_TRUTH_CELLS`."""
-    days = (rc.get("train_days"), rc.get("val_days"), rc.get("test_days"))
+    keys = ("train_days", "val_days", "test_days")
+    days = tuple(rc.get(key) for key in keys)
+    for key, value in zip(keys, days):
+        if value < 0:
+            raise UsageError(f"bad value for {key}: {value!r} is negative")
     day_length = rc.get("day_length")
     windows = sum(days) * day_length / hyper.tau
     if not windows * hyper.n ** 2 <= MAX_TRUTH_CELLS:

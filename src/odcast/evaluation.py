@@ -273,31 +273,50 @@ def export_representations(params: ModelParams, events: Events, catalog: NodeCat
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as one CSV field, quoted where ``csv.writer`` would quote it."""
+    """``text`` as one CSV field, quoted where ``csv.writer`` would quote it.
+
+    The writer quotes a line break only when its terminator contains it, so a
+    CRLF terminator makes it quote a lone CR as well as LF."""
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text])
-    return buffer.getvalue()[:-1]
+    csv.writer(buffer, lineterminator="\r\n").writerow([text])
+    return buffer.getvalue()[:-2]
+
+
+def _actual_cells(actual) -> list[str]:
+    """``repr`` of each actual value; when all are counts below the number of
+    cells, through a table of count strings no longer than the window."""
+    values = np.asarray(actual, dtype=float).ravel()
+    if (values.size and not np.signbit(values).any() and values.max() < values.size
+            and np.array_equal(values, np.floor(values))):
+        table = [repr(float(k)) for k in range(int(values.max()) + 1)]
+        return [table[k] for k in values.astype(np.intp).tolist()]
+    return [repr(y) for y in values.tolist()]
 
 
 def write_predictions_csv(predictions: Sequence[WindowPrediction], catalog: NodeCatalog,
                           path, include_actual: bool = True) -> None:
-    """Prediction dump: ``origin,destination,window_start,window_end,predicted,actual``."""
+    """Prediction dump: ``origin,destination,window_start,window_end,predicted,actual``.
+
+    Names are quoted where ``csv.writer`` would quote them.  ``predicted`` is
+    fixed notation to six decimals (``format(x, ".6f")``), a millionth of a
+    trip, so it does not round-trip the float64 forecast; window bounds and
+    ``actual`` are written as ``repr`` writes them.  Each window's rows are
+    filled into one ``%`` template per node count.
+    """
     include_actual = include_actual and all(p.actual is not None for p in predictions)
-    prefixes: dict[int, list[str]] = {}  # node count -> the "origin,destination," cells
+    # One row's conversions: the window bounds, predicted and (maybe) actual.
+    row, stride = ("%s%.6f,%s\n", 3) if include_actual else ("%s%.6f\n", 2)
+    templates: dict[int, str] = {}  # node count -> the rows of one window
     with open(path, "w", encoding="utf-8", newline="") as fh:
         header = "origin,destination,window_start,window_end,predicted"
         fh.write(header + (",actual\n" if include_actual else "\n"))
         for p in predictions:
             n = p.predicted.shape[0]
-            if n not in prefixes:
-                names = [_csv_field(catalog.name_of(i)) for i in range(n)]
-                prefixes[n] = [f"{o},{d}," for o in names for d in names]
-            window = f"{p.window_start!r},{p.window_end!r},"
-            predicted = np.asarray(p.predicted, dtype=float).ravel().tolist()
+            if n not in templates:
+                names = [_csv_field(catalog.name_of(i)).replace("%", "%%") for i in range(n)]
+                templates[n] = "".join(f"{o},{d},{row}" for o in names for d in names)
+            cells = [f"{p.window_start!r},{p.window_end!r},"] * (n * n * stride)
+            cells[1::stride] = np.asarray(p.predicted, dtype=float).ravel().tolist()
             if include_actual:
-                actual = np.asarray(p.actual, dtype=float).ravel().tolist()
-                rows = [f"{pre}{window}{x!r},{y!r}\n"
-                        for pre, x, y in zip(prefixes[n], predicted, actual)]
-            else:
-                rows = [f"{pre}{window}{x!r}\n" for pre, x in zip(prefixes[n], predicted)]
-            fh.write("".join(rows))
+                cells[2::stride] = _actual_cells(p.actual)
+            fh.write(templates[n] % tuple(cells))

@@ -122,6 +122,40 @@ class TestPairHead:
                 if i != k:
                     assert np.array_equal(grads[i], full[i])
 
+    @pytest.mark.parametrize("n, m", [(3, 2), (64, 64), (75, 64)],
+                             ids=["single-block", "several-blocks", "ragged-last-block"])
+    def test_shared_block_buffer_is_bitwise_per_block_allocation(self, n, m):
+        rng = np.random.default_rng(11)
+        data = [rng.normal(size=s) for s in ((n, m), (n, m), (1, m), (1,))]
+        g = rng.normal(size=(n * n, 1))
+        out = ad.pair_head(*(param(x) for x in data))
+        ref_out, ref_grads = per_block_pair_head(*data, g)
+        assert np.array_equal(out.data, ref_out)
+        for grad, ref in zip(out._vjp(g), ref_grads):
+            assert np.array_equal(grad, ref)
+
+
+def per_block_pair_head(a, b, w, c, g):
+    """The blocked head with a fresh array for every block: forward and all four VJPs."""
+    n, m = a.shape
+    rows = max(1, ad._PAIR_BLOCK_ELEMENTS // (n * m))
+    blocks = [(lo, min(n, lo + rows)) for lo in range(0, n, rows)]
+    out = np.empty((n * n, 1))
+    for lo, hi in blocks:
+        hidden = a[lo:hi, None, :] + b
+        np.maximum(hidden, 0.0, out=hidden)
+        np.matmul(hidden.reshape(-1, m), w.T, out=out[lo * n:hi * n])
+    out += c
+    pairs = g.reshape(n, n)
+    s_a, s_b = np.zeros((n, m)), np.zeros((n, m))
+    for lo, hi in blocks:
+        mask = a[lo:hi, None, :] + b
+        np.greater(mask, 0.0, out=mask)
+        s_a[lo:hi] = np.matmul(pairs[lo:hi, None, :], mask)[:, 0]
+        s_b += np.matmul(pairs[lo:hi].T[:, None, :], mask.swapaxes(0, 1))[:, 0]
+    grad_w = ((a * s_a).sum(axis=0) + (b * s_b).sum(axis=0))[None, :]
+    return out, (s_a * w, s_b * w, grad_w, np.array([g.sum()]))
+
 
 class TestLinear:
     @pytest.mark.parametrize("x_shape, w_shape, out_shape", [
@@ -306,6 +340,15 @@ class TestFiniteChecks:
     def test_nan_input_aborts(self):
         with pytest.raises(NonFiniteValue):
             Tensor(np.array([1.0, np.nan]))
+
+    def test_finite_entries_whose_sum_overflows_pass(self):
+        with np.errstate(over="ignore"):  # the fast check's sum overflows here
+            assert np.array_equal(ad.constant(np.array([1e308, 1e308])).data, [1e308, 1e308])
+
+    def test_count_names_the_non_finite_entries(self):
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteValue, match="1/2 non-finite entries"):
+            ad.constant(np.array([1e308, np.inf]))
 
     def test_overflow_aborts(self):
         x = param([800.0])

@@ -207,6 +207,7 @@ TRAIN_CONFIGS = {
     "nan-string-decay": {"decay_rate": "nan"},
     "tau-key-too-many-windows": {"tau": 1e-300},
 }
+SPLIT_FLAGS = ("--train-days", "--val-days", "--test-days")
 PROFILES = {
     "profile-not-a-list": {"profile": 5},
     "profile-unknown-segment-key": {"profile": [{"bogus": 1}]},
@@ -237,9 +238,12 @@ PROFILES = {
      "UsageError"),
     *((["synth", "--config", f"{{tmp}}/{name}.json", "--out", "{tmp}/synth"], 2, "UsageError")
       for name in PROFILES),
+    *((["train", "--events", "{events}", "--catalog", "{catalog}", flag, "-1"], 2,
+       "UsageError") for flag in SPLIT_FLAGS),
 ], ids=["missing-events", "missing-catalog", "zero-heads", "tau-not-dividing-day",
         "node-out-of-range", "zero-cap", "non-integer-config-value", "t0-after-first-event",
-        "non-utf8-events", *TRAIN_CONFIGS, "tau-flag-too-many-windows", *PROFILES])
+        "non-utf8-events", *TRAIN_CONFIGS, "tau-flag-too-many-windows", *PROFILES,
+        *(f"negative-{flag[2:]}" for flag in SPLIT_FLAGS)])
 def test_bad_input_is_one_line_error(tmp_path, capsys, synth_dir, trained_dir, argv, code,
                                      error):
     (tmp_path / "dim.json").write_text(json.dumps({"dim": "abc"}))
@@ -252,6 +256,19 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, synth_dir, trained_dir, a
     assert run(*(arg.format(**paths) for arg in argv)) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{error}: ")
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("flag", SPLIT_FLAGS)
+def test_negative_split_days_name_the_key(capsys, synth_dir, trained_dir, command, flag):
+    argv = [command, "--events", str(synth_dir / "events.csv"),
+            "--catalog", str(synth_dir / "catalog.csv"), flag, "-0.5"]
+    if command == "evaluate":
+        argv += ["--checkpoint", str(trained_dir / "checkpoint.bin")]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    key = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"UsageError: bad value for {key}: -0.5 is negative\n"
 
 
 def test_lambda_alias_and_other_subcommands_keys(tmp_path, synth_dir):

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odcast.errors import LengthMismatch
 from odcast.events import NodeCatalog, TransactionEvent
-from odcast.evaluation import (compute_metrics, evaluate, export_representations,
-                               final_relations, ha_baseline, predict_walk,
-                               write_predictions_csv)
+from odcast.evaluation import (WindowPrediction, compute_metrics, evaluate,
+                               export_representations, final_relations, ha_baseline,
+                               predict_walk, write_predictions_csv)
 from odcast.model import HyperParams, init_params
 from odcast.training import Splits
 
@@ -260,7 +262,7 @@ class TestPredictWalk:
                     for j in range(3):
                         row = (f"{catalog.name_of(i)},{catalog.name_of(j)},"
                                f"{p.window_start!r},{p.window_end!r},"
-                               f"{float(p.predicted[i, j])!r}")
+                               f"{float(p.predicted[i, j]):.6f}")
                         if include_actual:
                             row += f",{float(p.actual[i, j])!r}"
                         fh.write(row + "\n")
@@ -280,6 +282,37 @@ class TestPredictWalk:
         assert all(len(row) == 6 for row in rows)
         pairs = [(o, d) for o in names for d in names]
         assert [(row[0], row[1]) for row in rows[1:]] == pairs * len(preds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), include_actual=st.booleans())
+    def test_csv_reads_back_cell_by_cell(self, tmp_path_factory, data, include_actual):
+        special = st.sampled_from([",", '"', "%", "%s", "%%", "", "a\nb", "\r", "a\r\nb",
+                                   "Zoë"])
+        text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+        names = data.draw(st.lists(special | text, min_size=1, max_size=4, unique=True))
+        n = len(names)
+        catalog = NodeCatalog(n=n, names=names)
+        bounds = st.floats(allow_nan=False, allow_infinity=False)
+        predicted = st.sampled_from([0.0, 1e-300]) | st.floats(0.0, 1e12)
+        actual = st.integers(0, 40).map(float) | st.floats(0.0, 1e6) | st.just(-0.0)
+        preds = [WindowPrediction(data.draw(bounds), data.draw(bounds),
+                                  np.array(data.draw(st.lists(predicted, min_size=n * n,
+                                                              max_size=n * n))).reshape(n, n),
+                                  np.array(data.draw(st.lists(actual, min_size=n * n,
+                                                              max_size=n * n))).reshape(n, n))
+                 for _ in range(data.draw(st.integers(1, 3)))]
+        path = tmp_path_factory.mktemp("dump") / "pred.csv"
+        write_predictions_csv(preds, catalog, path, include_actual=include_actual)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh, strict=True))
+        assert rows[0][-1] == ("actual" if include_actual else "predicted")
+        assert len(rows) == 1 + len(preds) * n * n
+        cells = ((p, i, j) for p in preds for i in range(n) for j in range(n))
+        for row, (p, i, j) in zip(rows[1:], cells):
+            assert row[:2] == [names[i], names[j]]
+            assert row[2:4] == [repr(p.window_start), repr(p.window_end)]
+            assert row[4] == format(float(p.predicted[i, j]), ".6f")
+            assert row[5:] == ([repr(float(p.actual[i, j]))] if include_actual else [])
 
 
 class TestExports:
