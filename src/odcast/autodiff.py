@@ -6,13 +6,13 @@ in reverse topological order.  The op set is deliberately small: matrix
 multiply, the affine map ``linear`` (``x @ w^T + b``), the batched product
 and head merge of stacked heads, transpose, concat, split, elementwise
 add/mul, scalar scale, exp, rectifier, softmax over an axis, sum over an
-axis, mean, square, and the pairwise output layer ``pair_head``, which
-maps two (n, m) matrices to one value per ordered row pair (n^2 rows)
-without storing the (n^2, m) hidden layer.  There is no general
-broadcasting: ``linear`` alone adds a length-m bias to every row and
-broadcasts a leading head axis.  A :class:`View` names one slice of a
-tensor, such as one head of a stacked weight, without putting it on the
-tape.
+axis, mean, square, the pairwise MLP head ``pair_head``, which maps an
+(n, k) matrix to one value per ordered row pair (n^2 rows) without storing
+the (n^2, m) hidden layer, and the masked squared error ``masked_mse``
+against a constant target.  There is no general broadcasting: ``linear``
+alone adds a length-m bias to every row and broadcasts a leading head
+axis.  A :class:`View` names one slice of a tensor, such as one head of a
+stacked weight, without putting it on the tape.
 
 Every forward value and every gradient is checked for NaN/Inf and aborts
 with diagnostics when one appears.
@@ -29,9 +29,12 @@ import numpy as np
 from .errors import NonFiniteValue, NotScalar, ShapeError, TapeReuse
 
 def _assert_finite(data: np.ndarray, where: str) -> None:
-    # A full-array sum is NaN or Inf if some entry is; cheap single pass.  Finite
-    # entries can overflow it too, so only a count of non-finite entries raises.
-    if not math.isfinite(float(np.add.reduce(data, axis=None))):
+    # The sum of squares is NaN or Inf if some entry is; one BLAS pass that sets
+    # off no NumPy overflow warning.  Finite entries can overflow it too, so only
+    # a count of non-finite entries raises.  Raveling in memory order keeps a
+    # transposed view from being copied.
+    flat = data.ravel(order="K")
+    if not math.isfinite(float(np.vdot(flat, flat))):
         bad = int((~np.isfinite(data)).sum())
         if bad:
             raise NonFiniteValue(f"{where}: {bad}/{data.size} non-finite entries, "
@@ -216,54 +219,101 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 _PAIR_BLOCK_ELEMENTS = 1 << 16
 
 
-def pair_head(a: Tensor, b: Tensor, w: Tensor, c: Tensor) -> Tensor:
-    """Pairwise output layer: row ``i*n + j`` of the (n^2, 1) result is
-    ``relu(a[i] + b[j]) @ w^T + c`` for ``a``, ``b`` (n, m), ``w`` (1, m), ``c`` (1,).
+def _pair_sums(buffer: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``a[i] + b[j]`` for origin rows ``lo <= i < hi`` and every ``j``, written
+    into the front of ``buffer``: a broadcast copy of the origin rows, then one
+    contiguous add, which is about twice as fast as a broadcasting add."""
+    block = buffer[:hi - lo]
+    block[...] = a[lo:hi, None, :]
+    block += b
+    return block
 
-    The (n^2, m) hidden layer is never stored.  Forward and VJP walk blocks
-    of origin rows sized to a fixed element budget and rebuild each block's
-    hidden values; since ``relu(x) = mask * x``, the block's 0/1 mask is all
-    the VJP needs.
+
+def pair_head(z: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, c: Tensor) -> Tensor:
+    """Pairwise MLP head: row ``i*n + j`` of the (n^2, 1) result is
+    ``relu(w1 @ [z_i ; z_j] + b1) @ w2^T + c`` for ``z`` (n, k), ``w1`` (m, 2k),
+    ``b1`` (m,), ``w2`` (1, m) and ``c`` (1,).
+
+    The first layer splits by the columns of ``w1``: ``a = z @ w1[:, :k]^T + b1``
+    per origin and ``b = z @ w1[:, k:]^T`` per destination, each computed once
+    per node.  The (n^2, m) hidden layer ``relu(a[i] + b[j])`` is never stored:
+    forward and VJP walk blocks of origin rows sized to a fixed element budget
+    and rebuild each block's hidden values; since ``relu(x) = mask * x``, the
+    block's 0/1 mask is all the VJP needs.
     """
-    if (a.data.ndim != 2 or b.data.shape != a.data.shape
-            or w.data.shape != (1, a.data.shape[1]) or c.data.shape != (1,)):
-        raise ShapeError(f"pair_head of {a.data.shape}, {b.data.shape}, {w.data.shape} "
+    zs, ws = z.data.shape, w1.data.shape
+    if (len(zs) != 2 or len(ws) != 2 or ws[1] != 2 * zs[1] or b1.data.shape != ws[:1]
+            or w2.data.shape != (1, ws[0]) or c.data.shape != (1,)):
+        raise ShapeError(f"pair_head of {zs}, {ws}, {b1.data.shape}, {w2.data.shape} "
                          f"and {c.data.shape}")
-    n, m = a.data.shape
+    (n, k), m = zs, ws[0]
+    # Contiguous halves: a strided column of w1 (k = 1) would send NumPy's
+    # products down BLAS paths that sum in another order.
+    w_origin, w_dest = w1.data[:, :k].copy(), w1.data[:, k:].copy()
+    a = np.matmul(z.data, w_origin.T)
+    a += b1.data
+    b = np.matmul(z.data, w_dest.T)
+    _assert_finite(a, "forward op pair_head (origin layer)")
+    _assert_finite(b, "forward op pair_head (destination layer)")
     rows = max(1, _PAIR_BLOCK_ELEMENTS // max(1, n * m))
     blocks = [(lo, min(n, lo + rows)) for lo in range(0, n, rows)]
     out = np.empty((n * n, 1))
     buffer = np.empty((min(rows, n), n, m))  # shared by the blocks: fewer page faults
     for lo, hi in blocks:
-        hidden = np.add(a.data[lo:hi, None, :], b.data, out=buffer[:hi - lo])
+        hidden = _pair_sums(buffer, a, b, lo, hi)
         np.maximum(hidden, 0.0, out=hidden)
-        np.matmul(hidden.reshape(-1, m), w.data.T, out=out[lo * n:hi * n])
+        np.matmul(hidden.reshape(-1, m), w2.data.T, out=out[lo * n:hi * n])
     out += c.data
 
     def vjp(g: np.ndarray):
         pairs = g.reshape(n, n)
-        # A constant operand gets no gradient; w needs both row sums.
-        need_a = a.requires_grad or w.requires_grad
-        need_b = b.requires_grad or w.requires_grad
+        # A constant operand gets no gradient, and its product is skipped; w2
+        # needs both row sums.
+        origin_live = z.requires_grad or w1.requires_grad or b1.requires_grad
+        dest_live = z.requires_grad or w1.requires_grad
+        need_a = origin_live or w2.requires_grad
+        need_b = dest_live or w2.requires_grad
         s_a, s_b = np.zeros((n, m)), np.zeros((n, m))
         if need_a or need_b:
             buffer = np.empty((min(rows, n), n, m))
             for lo, hi in blocks:
-                mask = np.add(a.data[lo:hi, None, :], b.data, out=buffer[:hi - lo])
+                mask = _pair_sums(buffer, a, b, lo, hi)
                 np.greater(mask, 0.0, out=mask)  # derivative at exactly 0 is 0
                 if need_a:  # s_a[i] = sum_j g[i, j] mask[i, j]
                     s_a[lo:hi] = np.matmul(pairs[lo:hi, None, :], mask)[:, 0]
                 if need_b:  # s_b[j] = sum_i g[i, j] mask[i, j]
                     s_b += np.matmul(pairs[lo:hi].T[:, None, :], mask.swapaxes(0, 1))[:, 0]
-        grad_w = None
-        if w.requires_grad:
-            grad_w = ((a.data * s_a).sum(axis=0) + (b.data * s_b).sum(axis=0))[None, :]
-        return (s_a * w.data if a.requires_grad else None,
-                s_b * w.data if b.requires_grad else None,
-                grad_w,
+        grad_w2 = None
+        if w2.requires_grad:
+            grad_w2 = ((a * s_a).sum(axis=0) + (b * s_b).sum(axis=0))[None, :]
+        # Gradients into the two first-layer outputs, then through them.  A
+        # non-finite entry there makes every gradient it reaches non-finite.
+        g_a = s_a * w2.data if origin_live else None
+        g_b = s_b * w2.data if dest_live else None
+        grad_w1 = None
+        if w1.requires_grad:  # zeros plus each half, as two column blocks summed
+            grad_w1 = np.zeros((m, 2 * k))
+            grad_w1[:, :k] += g_a.T @ z.data
+            grad_w1[:, k:] += g_b.T @ z.data
+        return (g_a @ w_origin + g_b @ w_dest if z.requires_grad else None,
+                grad_w1,
+                g_a.sum(axis=0) if b1.requires_grad else None,
+                grad_w2,
                 np.array([g.sum()]) if c.requires_grad else None)
 
-    return _make(out, (a, b, w, c), vjp, "pair_head")
+    return _make(out, (z, w1, b1, w2, c), vjp, "pair_head")
+
+
+def masked_mse(raw: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:
+    """``mean(mask * (y - raw)^2)`` for a constant target ``y`` and constant 0/1
+    ``mask``, both of ``raw``'s shape; masked cells get exactly zero gradient."""
+    shape = raw.data.shape
+    if y.shape != shape or mask.shape != shape:
+        raise ShapeError(f"masked_mse of {shape}, {y.shape} and {mask.shape}")
+    size = raw.data.size
+    diff = y - raw.data
+    out = np.asarray((diff * diff * mask).mean())
+    return _make(out, (raw,), lambda g: (-2.0 * diff * (g / size * mask),), "masked_mse")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -12,7 +10,8 @@ import numpy as np
 
 from .errors import LengthMismatch
 from .events import (EventBatch, Events, EventStream, NodeCatalog, batch_by_cap,
-                     batch_by_window, build_od_matrix, default_t0, od_matrix_series)
+                     batch_by_window, build_od_matrix, csv_field, default_t0,
+                     od_matrix_series)
 from .model import HyperParams, MemoryBank, ModelParams, StepResult, predict_od, step
 from .multilevel import RelationTensors
 
@@ -272,16 +271,6 @@ def export_representations(params: ModelParams, events: Events, catalog: NodeCat
                              f"{float(reps[node, dim])!r}\n")
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV field, quoted where ``csv.writer`` would quote it.
-
-    The writer quotes a line break only when its terminator contains it, so a
-    CRLF terminator makes it quote a lone CR as well as LF."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\r\n").writerow([text])
-    return buffer.getvalue()[:-2]
-
-
 def _actual_cells(actual) -> list[str]:
     """``repr`` of each actual value; when all are counts below the number of
     cells, through a table of count strings no longer than the window."""
@@ -313,7 +302,7 @@ def write_predictions_csv(predictions: Sequence[WindowPrediction], catalog: Node
         for p in predictions:
             n = p.predicted.shape[0]
             if n not in templates:
-                names = [_csv_field(catalog.name_of(i)).replace("%", "%%") for i in range(n)]
+                names = [csv_field(catalog.name_of(i)).replace("%", "%%") for i in range(n)]
                 templates[n] = "".join(f"{o},{d},{row}" for o in names for d in names)
             cells = [f"{p.window_start!r},{p.window_end!r},"] * (n * n * stride)
             cells[1::stride] = np.asarray(p.predicted, dtype=float).ravel().tolist()

@@ -441,21 +441,33 @@ def parse_events(source: str | Path | IO, catalog: NodeCatalog) -> EventStream:
     return EventStream(*([np.concatenate(column) for column in zip(*parts)] or ([], [], [])))
 
 
-def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable) -> None:
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted where ``csv.writer`` would quote it.
+
+    The writer quotes a line break only when its terminator contains it, so a
+    CRLF terminator makes it quote a lone CR as well as LF."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow([text])
+    return buffer.getvalue()[:-2]
+
+
+def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[str]) -> None:
+    """Write the header, then stream the already formatted rows, each ending in LF."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(rows)
 
 
 def write_events_csv(events: Iterable[TransactionEvent], catalog: NodeCatalog,
                      path: str | Path) -> None:
-    _write_csv(path, EVENT_HEADER, ([catalog.name_of(ev.origin), catalog.name_of(ev.destination),
-                                     repr(ev.timestamp)] for ev in events))
+    names = [csv_field(catalog.name_of(i)) for i in range(catalog.n)]
+    _write_csv(path, EVENT_HEADER, (f"{names[ev.origin]},{names[ev.destination]},"
+                                    f"{ev.timestamp!r}\n" for ev in events))
 
 
 def write_catalog_csv(catalog: NodeCatalog, path: str | Path) -> None:
-    _write_csv(path, CATALOG_HEADER, ([catalog.name_of(i), i] for i in range(catalog.n)))
+    _write_csv(path, CATALOG_HEADER, (f"{csv_field(catalog.name_of(i))},{i}\n"
+                                      for i in range(catalog.n)))
 
 
 def load_catalog(path: str | Path | None, n: int | None = None) -> NodeCatalog:

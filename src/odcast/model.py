@@ -297,17 +297,14 @@ class Prediction:
 def predict_od(z: Tensor, params: ModelParams) -> Prediction:
     """Evaluate the pairwise output head densely on all ordered node pairs.
 
-    The head is an MLP over ``[z_i ; z_j]`` for pair row ``i*N + j``.  Its
-    first layer splits by columns into an origin block (which takes the
-    bias) and a destination block, each applied once per node by
-    ``linear``; ``pair_head`` adds them for every pair, rectifies and
-    applies the second layer block by block, so no (N^2, d) array is ever
-    allocated.
+    The head is an MLP over ``[z_i ; z_j]`` for pair row ``i*N + j``, run as
+    one ``pair_head`` op: its first layer is applied once per node, as an
+    origin block (which takes the bias) and a destination block, and no
+    (N^2, d) array is ever allocated.
     """
-    n, width = z.data.shape
     mlp = params.output_mlp
-    w_origin, w_dest = ad.split(mlp.w1, [width, width], axis=1)
-    raw = ad.pair_head(ad.linear(z, w_origin, mlp.b1), ad.linear(z, w_dest), mlp.w2, mlp.b2)
+    raw = ad.pair_head(z, mlp.w1, mlp.b1, mlp.w2, mlp.b2)
+    n = z.data.shape[0]
     return Prediction(matrix=np.maximum(raw.data, 0.0).reshape(n, n), raw=raw)
 
 
@@ -321,15 +318,12 @@ def od_loss(raw, truth: np.ndarray, mse_loss: bool = False):
 
     Accepts the raw prediction as a tape tensor (returns a scalar tensor;
     the mask is a constant, so the masked region gets exactly zero gradient)
-    or as a plain array (returns a float).
+    or as a plain array (returns a float).  Both run ``masked_mse``, so a
+    non-finite entry raises ``NonFiniteValue`` on either path.
     """
-    if isinstance(raw, Tensor):
-        raw_data = raw.data
-        y = np.asarray(truth, dtype=float).reshape(raw_data.shape)
-        mask = np.ones_like(y) if mse_loss else np.where(y > 0.0, 1.0, raw_data > 0.0)
-        diff = ad.add(ad.constant(y), ad.scale(raw, -1.0))
-        return ad.mean(ad.mul(ad.square(diff), ad.constant(mask)))
-    raw_arr = np.asarray(raw, dtype=float)
-    y = np.asarray(truth, dtype=float).reshape(raw_arr.shape)
-    mask = np.ones_like(y) if mse_loss else np.where(y > 0.0, 1.0, raw_arr > 0.0)
-    return float(np.mean(mask * (y - raw_arr) ** 2))
+    on_tape = isinstance(raw, Tensor)
+    raw_t = raw if on_tape else ad.constant(np.asarray(raw, dtype=float))
+    y = np.asarray(truth, dtype=float).reshape(raw_t.data.shape)
+    mask = np.ones_like(y) if mse_loss else np.where(y > 0.0, 1.0, raw_t.data > 0.0)
+    loss = ad.masked_mse(raw_t, y, mask)
+    return loss if on_tape else loss.item()

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from odcast import autodiff as ad
 from odcast.autodiff import Tensor, backward, fd_check, grad_of, zero_grads
@@ -52,10 +56,74 @@ class TestForward:
         assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
 
-def dense_pair_head(a, b, w, c):
+def dense_pair_head(z, w1, b1, w2, c):
     """The head with its (n^2, m) hidden layer built in full: the reference."""
-    n, m = a.shape
-    return np.maximum(a[:, None, :] + b[None, :, :], 0.0).reshape(n * n, m) @ w.T + c
+    n = z.shape[0]
+    pairs = np.concatenate([np.repeat(z, n, axis=0), np.tile(z, (n, 1))], axis=1)
+    return np.maximum(pairs @ w1.T + b1, 0.0) @ w2.T + c
+
+
+def four_operand_pair_head(a, b, w, c):
+    """The tape op the head was built from before: row ``i*n + j`` is
+    ``relu(a[i] + b[j]) @ w^T + c``, with a fresh array for every block."""
+    n, m = a.data.shape
+    rows = max(1, ad._PAIR_BLOCK_ELEMENTS // (n * m))
+    blocks = [(lo, min(n, lo + rows)) for lo in range(0, n, rows)]
+    out = np.empty((n * n, 1))
+    for lo, hi in blocks:
+        hidden = a.data[lo:hi, None, :] + b.data
+        np.maximum(hidden, 0.0, out=hidden)
+        np.matmul(hidden.reshape(-1, m), w.data.T, out=out[lo * n:hi * n])
+    out += c.data
+
+    def vjp(g):
+        pairs = g.reshape(n, n)
+        s_a, s_b = np.zeros((n, m)), np.zeros((n, m))
+        for lo, hi in blocks:
+            mask = a.data[lo:hi, None, :] + b.data
+            np.greater(mask, 0.0, out=mask)
+            s_a[lo:hi] = np.matmul(pairs[lo:hi, None, :], mask)[:, 0]
+            s_b += np.matmul(pairs[lo:hi].T[:, None, :], mask.swapaxes(0, 1))[:, 0]
+        grad_w = ((a.data * s_a).sum(axis=0) + (b.data * s_b).sum(axis=0))[None, :]
+        return s_a * w.data, s_b * w.data, grad_w, np.array([g.sum()])
+
+    return ad._make(out, (a, b, w, c), vjp, "pair_head")
+
+
+def composed_pair_head(z, w1, b1, w2, c):
+    """The head as the op chain it replaced: split, two linears, the four-operand head."""
+    k = z.data.shape[1]
+    w_origin, w_dest = ad.split(w1, [k, k], axis=1)
+    return four_operand_pair_head(ad.linear(z, w_origin, b1), ad.linear(z, w_dest), w2, c)
+
+
+def head_value_and_grads(head, data, live, g):
+    """Forward value of ``head`` and each operand's gradient under upstream ``g``;
+    ``live[i]`` says whether operand i is a parameter."""
+    operands = [Tensor(x.copy(), requires_grad=r) for x, r in zip(data, live)]
+    out = head(*operands)
+    if out.requires_grad:
+        backward(ad.tensor_sum(ad.mul(out, ad.constant(g))))
+    return out.data, [t.grad for t in operands]
+
+
+def head_shapes(n, k, m):
+    return ((n, k), (m, 2 * k), (m,), (1, m), (1,))
+
+
+def assert_bitwise_equal(x, ref):
+    """Equal values and equal signs, so -0.0 and 0.0 differ too."""
+    assert np.array_equal(x, ref) and np.array_equal(np.signbit(x), np.signbit(ref))
+
+
+def assert_head_is_bitwise_the_composition(data, live, g):
+    out, grads = head_value_and_grads(ad.pair_head, data, live, g)
+    ref_out, ref_grads = head_value_and_grads(composed_pair_head, data, live, g)
+    assert_bitwise_equal(out, ref_out)
+    for grad, ref in zip(grads, ref_grads):
+        assert (grad is None) == (ref is None)
+        if grad is not None:
+            assert_bitwise_equal(grad, ref)
 
 
 class TestPairHead:
@@ -65,96 +133,138 @@ class TestPairHead:
         rows = max(1, ad._PAIR_BLOCK_ELEMENTS // (n * m))
         assert -(-n // rows) == blocks  # the shape has the block layout its id names
         rng = np.random.default_rng(9)
-        a, b = param(rng.normal(size=(n, m))), param(rng.normal(size=(n, m)))
-        w, c = param(rng.normal(size=(1, m))), param(rng.normal(size=1))
-        out = ad.pair_head(a, b, w, c)
+        z, w1, b1, w2, c = (param(rng.normal(size=s)) for s in head_shapes(n, 3, m))
+        out = ad.pair_head(z, w1, b1, w2, c)
         assert out.data.shape == (n * n, 1)
-        assert np.allclose(out.data, dense_pair_head(a.data, b.data, w.data, c.data),
+        assert np.allclose(out.data, dense_pair_head(z.data, w1.data, b1.data, w2.data, c.data),
                            rtol=1e-13, atol=1e-13)
 
-    @pytest.mark.parametrize("shape_a, shape_b, shape_w, shape_c", [
-        ((3, 2), (2, 2), (1, 2), (1,)), ((3, 2), (3, 1), (1, 2), (1,)),
-        ((3,), (3,), (1, 3), (1,)), ((3, 2), (3, 2), (1, 3), (1,)),
-        ((3, 2), (3, 2), (2, 2), (1,)), ((3, 2), (3, 2), (1, 2), (2,))],
-        ids=["b-rows", "b-width", "vector-a", "w-width", "w-rows", "c-size"])
-    def test_shape_error(self, shape_a, shape_b, shape_w, shape_c):
+    @pytest.mark.parametrize("shape_z, shape_w1, shape_b1, shape_w2, shape_c", [
+        ((3,), (2, 2), (2,), (1, 2), (1,)), ((3, 2), (2, 3), (2,), (1, 2), (1,)),
+        ((3, 2), (4,), (2,), (1, 2), (1,)), ((3, 2), (2, 4), (3,), (1, 2), (1,)),
+        ((3, 2), (2, 4), (2,), (1, 3), (1,)), ((3, 2), (2, 4), (2,), (2, 2), (1,)),
+        ((3, 2), (2, 4), (2,), (1, 2), (2,))],
+        ids=["vector-z", "w1-width", "vector-w1", "b1-size", "w-width", "w-rows", "c-size"])
+    def test_shape_error(self, shape_z, shape_w1, shape_b1, shape_w2, shape_c):
         with pytest.raises(ShapeError):
-            ad.pair_head(*(param(np.ones(s)) for s in (shape_a, shape_b, shape_w, shape_c)))
+            ad.pair_head(*(param(np.ones(s))
+                           for s in (shape_z, shape_w1, shape_b1, shape_w2, shape_c)))
 
     def test_derivative_zero_at_zero(self):
-        # a + b is [0, 1]: the first hidden unit sits exactly on the kink.
-        a, b = param([[1.0, 2.0]]), param([[-1.0, -1.0]])
-        w, c = param([[3.0, 5.0]]), param([0.5])
-        backward(ad.tensor_sum(ad.pair_head(a, b, w, c)))
-        assert np.array_equal(a.grad, [[0.0, 5.0]])
-        assert np.array_equal(b.grad, [[0.0, 5.0]])
-        assert np.array_equal(w.grad, [[0.0, 1.0]])
+        # The origin layer gives [1, 2] and the destination layer [-1, -1], so
+        # their sum is [0, 1]: the first hidden unit sits exactly on the kink.
+        z, w1, b1 = param([[1.0]]), param([[1.0, -1.0], [2.0, -1.0]]), param([0.0, 0.0])
+        w2, c = param([[3.0, 5.0]]), param([0.5])
+        backward(ad.tensor_sum(ad.pair_head(z, w1, b1, w2, c)))
+        assert np.array_equal(z.grad, [[5.0]])
+        assert np.array_equal(w1.grad, [[0.0, 0.0], [5.0, 5.0]])
+        assert np.array_equal(b1.grad, [0.0, 5.0])
+        assert np.array_equal(w2.grad, [[0.0, 1.0]])
         assert np.array_equal(c.grad, [1.0])
 
     def test_matches_central_differences(self):
         n, m = 40, 64
         assert ad._PAIR_BLOCK_ELEMENTS // (n * m) < n  # more than one block
         rng = np.random.default_rng(8)
-        # Sums land on integer + 0.75 +- 0.1: mixed signs, no kink within the step.
-        a = param(rng.integers(-3, 3, size=(n, m)) + 0.25 + rng.uniform(-0.05, 0.05, (n, m)),
-                  "a")
-        b = param(rng.integers(-3, 3, size=(n, m)) + 0.5 + rng.uniform(-0.05, 0.05, (n, m)),
-                  "b")
-        w, c = param(rng.normal(size=(1, m)), "w"), param([0.3], "c")
-        assert np.abs(a.data[:, None, :] + b.data[None, :, :]).min() > 0.1
+        # z is the identity, so the origin layer is w1[:, :n]^T + b1 and the
+        # destination layer w1[:, n:]^T.  Their sums land on integer + 0.75 +- 0.1:
+        # mixed signs, no kink within the step.
+        origin = rng.integers(-3, 3, size=(n, m)) + 0.25 + rng.uniform(-0.05, 0.05, (n, m))
+        dest = rng.integers(-3, 3, size=(n, m)) + 0.5 + rng.uniform(-0.05, 0.05, (n, m))
+        assert np.abs(origin[:, None, :] + dest[None, :, :]).min() > 0.1
+        b1 = param(rng.normal(size=m), "b1")
+        z = param(np.eye(n), "z")
+        w1 = param(np.hstack([(origin - b1.data).T, dest.T]).copy(order="C"), "w1")
+        w2, c = param(rng.normal(size=(1, m)), "w2"), param([0.3], "c")
         weights = ad.constant(rng.normal(size=(n * n, 1)))
 
         def f():
-            return ad.mean(ad.square(ad.mul(ad.pair_head(a, b, w, c), weights)))
+            return ad.mean(ad.square(ad.mul(ad.pair_head(z, w1, b1, w2, c), weights)))
 
-        assert fd_check(f, [("a", a), ("b", b), ("w", w), ("c", c)]).passed()
+        assert fd_check(f, [("z", z), ("w1", w1), ("b1", b1), ("w2", w2), ("c", c)]).passed()
 
     def test_constant_operands_get_no_product(self):
         rng = np.random.default_rng(10)
-        data = [rng.normal(size=s) for s in ((5, 3), (5, 3), (1, 3), (1,))]
+        data = [rng.normal(size=s) for s in head_shapes(5, 3, 4)]
         g = rng.normal(size=(25, 1))
         full = ad.pair_head(*(param(x) for x in data))._vjp(g)
-        for k in range(4):
+        for k in range(5):
             operands = [ad.constant(x) if i == k else param(x) for i, x in enumerate(data)]
             grads = ad.pair_head(*operands)._vjp(g)
             assert grads[k] is None
-            for i in range(4):
+            for i in range(5):
                 if i != k:
                     assert np.array_equal(grads[i], full[i])
 
     @pytest.mark.parametrize("n, m", [(3, 2), (64, 64), (75, 64)],
                              ids=["single-block", "several-blocks", "ragged-last-block"])
     def test_shared_block_buffer_is_bitwise_per_block_allocation(self, n, m):
+        # The composition allocates a fresh array for every block.
         rng = np.random.default_rng(11)
-        data = [rng.normal(size=s) for s in ((n, m), (n, m), (1, m), (1,))]
-        g = rng.normal(size=(n * n, 1))
-        out = ad.pair_head(*(param(x) for x in data))
-        ref_out, ref_grads = per_block_pair_head(*data, g)
-        assert np.array_equal(out.data, ref_out)
-        for grad, ref in zip(out._vjp(g), ref_grads):
-            assert np.array_equal(grad, ref)
+        data = [rng.normal(size=s) for s in head_shapes(n, 3, m)]
+        assert_head_is_bitwise_the_composition(data, [True] * 5, rng.normal(size=(n * n, 1)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 90), k=st.integers(1, 5), m=st.integers(1, 64),
+           live=st.lists(st.booleans(), min_size=5, max_size=5), integral=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    # One z column: products with a strided column of w1 would sum in another order.
+    @example(n=1, k=1, m=7, live=[True, False, False, False, False], integral=False, seed=236)
+    def test_fused_op_is_bitwise_the_composition(self, n, k, m, live, integral, seed):
+        # Up to 9 blocks of origin rows.  Small integers put hidden sums exactly
+        # on the kink and make gradient entries exactly zero.
+        rng = np.random.default_rng(seed)
+        if integral:
+            data = [rng.integers(-2, 3, size=s).astype(float) for s in head_shapes(n, k, m)]
+        else:
+            data = [rng.normal(size=s) for s in head_shapes(n, k, m)]
+        assert_head_is_bitwise_the_composition(data, live, rng.normal(size=(n * n, 1)))
 
 
-def per_block_pair_head(a, b, w, c, g):
-    """The blocked head with a fresh array for every block: forward and all four VJPs."""
-    n, m = a.shape
-    rows = max(1, ad._PAIR_BLOCK_ELEMENTS // (n * m))
-    blocks = [(lo, min(n, lo + rows)) for lo in range(0, n, rows)]
-    out = np.empty((n * n, 1))
-    for lo, hi in blocks:
-        hidden = a[lo:hi, None, :] + b
-        np.maximum(hidden, 0.0, out=hidden)
-        np.matmul(hidden.reshape(-1, m), w.T, out=out[lo * n:hi * n])
-    out += c
-    pairs = g.reshape(n, n)
-    s_a, s_b = np.zeros((n, m)), np.zeros((n, m))
-    for lo, hi in blocks:
-        mask = a[lo:hi, None, :] + b
-        np.greater(mask, 0.0, out=mask)
-        s_a[lo:hi] = np.matmul(pairs[lo:hi, None, :], mask)[:, 0]
-        s_b += np.matmul(pairs[lo:hi].T[:, None, :], mask.swapaxes(0, 1))[:, 0]
-    grad_w = ((a * s_a).sum(axis=0) + (b * s_b).sum(axis=0))[None, :]
-    return out, (s_a * w, s_b * w, grad_w, np.array([g.sum()]))
+def composed_masked_mse(raw, y, mask):
+    """The loss as the op chain it replaced."""
+    diff = ad.add(ad.constant(y), ad.scale(raw, -1.0))
+    return ad.mean(ad.mul(ad.square(diff), ad.constant(mask)))
+
+
+class TestMaskedMse:
+    def test_value_and_gradient(self):
+        raw = param([[1.0], [3.0], [-2.0]])
+        loss = ad.masked_mse(raw, np.array([[2.0], [0.0], [0.0]]), np.array([[1.0], [1.0], [0.0]]))
+        assert loss.item() == (1.0 + 9.0) / 3.0
+        backward(loss)
+        assert np.array_equal(raw.grad, [[-2.0 / 3.0], [2.0], [0.0]])
+
+    @pytest.mark.parametrize("y_shape, mask_shape", [((3,), (3, 1)), ((3, 1), (1, 3))],
+                             ids=["y-shape", "mask-shape"])
+    def test_shape_error(self, y_shape, mask_shape):
+        with pytest.raises(ShapeError):
+            ad.masked_mse(param(np.ones((3, 1))), np.ones(y_shape), np.ones(mask_shape))
+
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(12)
+        raw = param(rng.normal(size=(30, 1)), "raw")
+        y = rng.poisson(0.8, size=(30, 1)).astype(float)
+        mask = np.where(y > 0.0, 1.0, rng.integers(0, 2, size=(30, 1)))
+        report = fd_check(lambda: ad.masked_mse(raw, y, mask), [("raw", raw)])
+        assert report.passed(), report.by_array()
+
+    @settings(max_examples=100, deadline=None)
+    @given(cells=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    def test_fused_op_is_bitwise_the_composition(self, cells, seed):
+        rng = np.random.default_rng(seed)
+        raw_data = rng.normal(size=(cells, 1)) * 3.0
+        y = rng.poisson(0.7, size=(cells, 1)).astype(float)
+        mask = np.where(y > 0.0, 1.0, raw_data > 0.0)
+        results = []
+        for loss_of in (ad.masked_mse, composed_masked_mse):
+            raw = param(raw_data.copy())
+            loss = loss_of(raw, y, mask)
+            backward(loss)
+            results.append((loss.data, raw.grad))
+        (loss, grad), (ref_loss, ref_grad) = results
+        assert_bitwise_equal(loss, ref_loss)
+        assert_bitwise_equal(grad, ref_grad)
 
 
 class TestLinear:
@@ -342,12 +452,14 @@ class TestFiniteChecks:
             Tensor(np.array([1.0, np.nan]))
 
     def test_finite_entries_whose_sum_overflows_pass(self):
-        with np.errstate(over="ignore"):  # the fast check's sum overflows here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fast check sets off no overflow warning
             assert np.array_equal(ad.constant(np.array([1e308, 1e308])).data, [1e308, 1e308])
 
     def test_count_names_the_non_finite_entries(self):
-        with np.errstate(over="ignore"), \
+        with warnings.catch_warnings(), \
                 pytest.raises(NonFiniteValue, match="1/2 non-finite entries"):
+            warnings.simplefilter("error")
             ad.constant(np.array([1e308, np.inf]))
 
     def test_overflow_aborts(self):

@@ -533,6 +533,40 @@ class TestCatalogFiles:
         write_events_csv(events, catalog, path)
         assert parse_events(path, catalog) == EventStream.of(events)
 
+    def test_names_with_a_lone_cr_round_trip(self, tmp_path):
+        catalog = NodeCatalog(n=2, names=("a\rb", "c"))
+        rows = [ev(0, 1, 1.5), ev(1, 0, 2.0)]
+        write_catalog_csv(catalog, tmp_path / "catalog.csv")
+        write_events_csv(rows, catalog, tmp_path / "events.csv")
+        loaded = load_catalog(tmp_path / "catalog.csv")
+        assert loaded.names == catalog.names
+        assert parse_events(tmp_path / "events.csv", loaded) == EventStream.of(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(names=st.lists(st.text(st.characters(blacklist_characters="\r"), min_size=1,
+                                  max_size=6), min_size=1, max_size=6, unique=True),
+           data=st.data())
+    def test_names_without_cr_keep_the_csv_writer_bytes(self, names, data):
+        catalog = NodeCatalog(n=len(names), names=names)
+        node = st.integers(0, len(names) - 1)
+        times = sorted(data.draw(st.lists(st.floats(0.0, 1e9), max_size=20)))
+        rows = [ev(data.draw(node), data.draw(node), t) for t in times]
+        expected = {}
+        for kind, header, table in (
+                ("events", EVENT_HEADER, [[names[e.origin], names[e.destination],
+                                           repr(e.timestamp)] for e in rows]),
+                ("catalog", ("name", "index"), [[name, i] for i, name in enumerate(names)])):
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(table)
+            expected[kind] = buffer.getvalue().encode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            write_events_csv(rows, catalog, Path(tmp) / "events.csv")
+            write_catalog_csv(catalog, Path(tmp) / "catalog.csv")
+            for kind in expected:
+                assert (Path(tmp) / f"{kind}.csv").read_bytes() == expected[kind]
+
     def test_features_default_one_hot(self):
         catalog = NodeCatalog(n=3)
         assert np.array_equal(catalog.features, np.eye(3))
@@ -552,7 +586,7 @@ class TestCatalogFiles:
     @settings(max_examples=100, deadline=None)
     @given(names=st.one_of(
                st.none(),
-               st.lists(st.text(string.ascii_letters + string.digits + ' ,"_-é', min_size=1,
+               st.lists(st.text(string.ascii_letters + string.digits + ' ,"_-é\r\n', min_size=1,
                                 max_size=8).map(str.strip).filter(bool),
                         min_size=1, max_size=6, unique=True)),
            data=st.data())
