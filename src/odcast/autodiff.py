@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import NonFiniteValue, NotScalar, ShapeError, TapeReuse
+from .events import write_csv
 
 def _assert_finite(data: np.ndarray, where: str) -> None:
     # The sum of squares is NaN or Inf if some entry is; one BLAS pass that sets
@@ -507,11 +508,9 @@ class FdReport:
         return self.max_rel_error < self.tol
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("array,coordinate,analytic,numeric,rel_error\n")
-            for r in self.rows:
-                fh.write(f"{r.array},{r.coordinate},{r.analytic!r},{r.numeric!r},"
-                         f"{r.rel_error!r}\n")
+        write_csv(path, ("array", "coordinate", "analytic", "numeric", "rel_error"),
+                  (f"{r.array},{r.coordinate},{r.analytic!r},{r.numeric!r},{r.rel_error!r}\n"
+                   for r in self.rows))
 
 
 def fd_check(f: Callable[[], Tensor], params: Sequence[tuple[str, Tensor]],

@@ -398,6 +398,9 @@ def main(argv=None) -> int:
     except OdcastError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an output the command could not write
+        print(f"IoError: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import LengthMismatch
 from .events import (EventBatch, Events, EventStream, NodeCatalog, batch_by_cap,
                      batch_by_window, build_od_matrix, csv_field, default_t0,
-                     od_matrix_series)
+                     od_matrix_series, write_csv)
 from .model import HyperParams, MemoryBank, ModelParams, StepResult, predict_od, step
 from .multilevel import RelationTensors
 
@@ -261,14 +261,15 @@ def export_representations(params: ModelParams, events: Events, catalog: NodeCat
     for node in nodes:
         if not 0 <= node < hyper.n:
             raise ValueError(f"node {node} out of range 0..{hyper.n - 1}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("timestamp,node,dim,value\n")
+
+    def rows():
         for batch, _, bank in replay:
             reps = bank.station_reps()
             for node in nodes:
                 for dim in range(hyper.dim):
-                    fh.write(f"{batch.window_end!r},{node},{dim},"
-                             f"{float(reps[node, dim])!r}\n")
+                    yield f"{batch.window_end!r},{node},{dim},{float(reps[node, dim])!r}\n"
+
+    write_csv(path, ("timestamp", "node", "dim", "value"), rows())
 
 
 def _actual_cells(actual) -> list[str]:

@@ -6,7 +6,8 @@ File formats owned by this module:
   destination are strings resolved through the :class:`NodeCatalog`;
   timestamp is a decimal number of seconds.  UTF-8, LF or CRLF.  Fields may
   be quoted as the ``csv`` module quotes them (names with commas, quotes or
-  line breaks); unquoted blocks of rows are cut with ``str.split``.
+  line breaks); blocks of rows up to the first quoted one are cut with
+  ``str.split``, the rest is read by ``csv.reader``.
 * catalog CSV: header line ``name,index``, one distinct name per node.  When
   no catalog file is given, node identifiers are taken to be the indices
   themselves.
@@ -244,23 +245,6 @@ def _csv_text(source: str | Path | IO, header: tuple[str, ...]) -> Iterator[tupl
             stream.detach()  # hand the caller's binary stream back unclosed
 
 
-@contextmanager
-def _csv_rows(source: str | Path | IO, header: tuple[str, ...]) -> Iterator:
-    """The numbered non-blank rows under ``header`` of a CSV path, text or binary stream.
-
-    Streams are handled as by :func:`_csv_text`; non-UTF-8 bytes and csv errors
-    raise :class:`MalformedRow`.
-    """
-    with _csv_text(source, header) as (stream, header_lines):
-        reader = csv.reader(stream, strict=True)
-        try:
-            yield ((line, row) for line, row in enumerate(reader, start=2) if row)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(header_lines + reader.line_num + 1, exc) from None
-        except csv.Error as exc:
-            raise MalformedRow(header_lines + reader.line_num, str(exc)) from None
-
-
 def _plain_cells(lines: list[str]) -> list[str] | None:
     """The cells of ``lines``, three per line, cut with ``str.split``; None unless
     ``csv.reader`` would cut them the same way.
@@ -289,20 +273,13 @@ def _plain_cells(lines: list[str]) -> list[str] | None:
     return text[:-1].replace("\n", ",").split(",")  # a time cell may keep its \r
 
 
-def _raising(exc: Exception) -> Iterator[str]:
-    """An iterator whose first step raises ``exc``."""
-    raise exc
-    yield  # a generator, so the raise waits for the first step
-
-
-def _blocks(stream: IO) -> Iterator[tuple[list[str], Iterator[str]]]:
-    """The lines of ``stream`` in blocks of about ``_BLOCK_CHARS`` characters, each
-    with the lines that follow it.
+def _blocks(stream: IO) -> Iterator[list[str]]:
+    """The lines of ``stream`` in blocks of about ``_BLOCK_CHARS`` characters.
 
     A decode error ends the blocks where the stream raised it: the lines read
-    before it come as one more block, whose following lines raise it, and then it
-    is raised.  ``list.extend`` keeps the lines it got before the error, so a
-    line-at-a-time read would meet the error at the same line.
+    before it come as one more block, and then it is raised.  ``list.extend``
+    keeps the lines it got before the error, so a line-at-a-time read would
+    meet the error at the same line.
     """
     while True:
         lines: list[str] = []
@@ -314,30 +291,25 @@ def _blocks(stream: IO) -> Iterator[tuple[list[str], Iterator[str]]]:
                 if len(lines) == start:
                     break
                 chars += sum(map(len, lines[start:]))
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError:
             if lines:
-                yield lines, _raising(exc)
+                yield lines
             raise
         if not lines:
             return
-        yield lines, stream
+        yield lines
 
 
-def _csv_records(lines: list[str], rest: Iterator[str],
-                 line: int) -> tuple[list[list[str]], int, MalformedRow | None]:
-    """``csv.reader``'s records of ``lines``, which follow line ``line``, the lines
-    it used and the error that stopped it, if any.  A quoted line break that runs
-    past the last line is followed into ``rest`` to the end of its record."""
-    reader = csv.reader(itertools.chain(lines, rest), strict=True)
-    records: list[list[str]] = []
+def _records(lines: Iterable[str], line: int) -> Iterator[list[str]]:
+    """``csv.reader``'s records of ``lines``, which follow line ``line``; non-UTF-8
+    bytes and csv errors raise :class:`MalformedRow` at their line."""
+    reader = csv.reader(lines, strict=True)
     try:
-        while reader.line_num < len(lines):
-            records.append(next(reader))
+        yield from reader
     except UnicodeDecodeError as exc:
-        return records, reader.line_num, _not_utf8(line + reader.line_num + 1, exc)
+        raise _not_utf8(line + reader.line_num + 1, exc) from None
     except csv.Error as exc:
-        return records, reader.line_num, MalformedRow(line + reader.line_num, str(exc))
-    return records, reader.line_num, None
+        raise MalformedRow(line + reader.line_num, str(exc)) from None
 
 
 class _Resolved(dict):
@@ -408,36 +380,32 @@ def parse_events(source: str | Path | IO, catalog: NodeCatalog) -> EventStream:
 
     The rows are read in blocks of whole lines, and each distinct name is
     resolved once.  A plain block (see :func:`_plain_cells`) is cut with one
-    ``str.split`` and its columns are converted and checked as arrays; if a
-    check fails, it is walked again one row at a time, so errors name the same
-    line and say the same as a row-by-row parse.  Any other block is read by
-    ``csv.reader`` and walked one row at a time.
+    ``str.split`` and its columns are converted and checked as arrays.  The
+    first block that is not plain, or that fails a check, and every line after
+    it are read by one ``csv.reader`` and walked one row at a time, so errors
+    name the same line and say the same as a row-by-row parse.
     """
     resolved = _Resolved(catalog)
     parts = []
     last = -math.inf
-    with _csv_text(source, EVENT_HEADER) as (stream, lines_read):
-        record = 2  # rows are numbered by record: blank lines count, quoted line breaks do not
+    with _csv_text(source, EVENT_HEADER) as (stream, header_lines):
+        line = header_lines  # lines read; rows are numbered by record from 2
+        blocks = _blocks(stream)
         try:
-            for lines, rest in _blocks(stream):
+            for lines in blocks:
                 cells = _plain_cells(lines)
-                if cells is not None:
-                    records, used = lines, len(lines)
-                    part = _columns(cells, resolved, last)
-                    if part is None:
-                        part = _walk(csv.reader(lines), record, resolved, last)
-                else:
-                    records, used, error = _csv_records(lines, rest, lines_read)
-                    part = _walk(records, record, resolved, last)
-                    if error is not None:
-                        raise error
+                part = None if cells is None else _columns(cells, resolved, last)
+                if part is None:
+                    rest = itertools.chain(lines, itertools.chain.from_iterable(blocks))
+                    parts.append(_walk(_records(rest, line), line - header_lines + 2,
+                                       resolved, last))
+                    break
                 parts.append(part)
                 if len(part[2]):
                     last = float(part[2][-1])
-                lines_read += used
-                record += len(records)
+                line += len(lines)
         except UnicodeDecodeError as exc:
-            raise _not_utf8(lines_read + 1, exc) from None
+            raise _not_utf8(line + 1, exc) from None
     return EventStream(*([np.concatenate(column) for column in zip(*parts)] or ([], [], [])))
 
 
@@ -451,7 +419,7 @@ def csv_field(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[str]) -> None:
+def write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[str]) -> None:
     """Write the header, then stream the already formatted rows, each ending in LF."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -461,13 +429,13 @@ def _write_csv(path: str | Path, header: tuple[str, ...], rows: Iterable[str]) -
 def write_events_csv(events: Iterable[TransactionEvent], catalog: NodeCatalog,
                      path: str | Path) -> None:
     names = [csv_field(catalog.name_of(i)) for i in range(catalog.n)]
-    _write_csv(path, EVENT_HEADER, (f"{names[ev.origin]},{names[ev.destination]},"
-                                    f"{ev.timestamp!r}\n" for ev in events))
+    write_csv(path, EVENT_HEADER, (f"{names[ev.origin]},{names[ev.destination]},"
+                                   f"{ev.timestamp!r}\n" for ev in events))
 
 
 def write_catalog_csv(catalog: NodeCatalog, path: str | Path) -> None:
-    _write_csv(path, CATALOG_HEADER, (f"{csv_field(catalog.name_of(i))},{i}\n"
-                                      for i in range(catalog.n)))
+    write_csv(path, CATALOG_HEADER, (f"{csv_field(catalog.name_of(i))},{i}\n"
+                                     for i in range(catalog.n)))
 
 
 def load_catalog(path: str | Path | None, n: int | None = None) -> NodeCatalog:
@@ -478,8 +446,10 @@ def load_catalog(path: str | Path | None, n: int | None = None) -> NodeCatalog:
         return NodeCatalog(n=n)
     pairs: list[tuple[str, int]] = []
     seen: set[str] = set()
-    with _csv_rows(path, CATALOG_HEADER) as rows:
-        for line, row in rows:
+    with _csv_text(path, CATALOG_HEADER) as (stream, header_lines):
+        for line, row in enumerate(_records(stream, header_lines), start=2):
+            if not row:
+                continue
             if len(row) != 2:
                 raise MalformedRow(line, f"expected 2 fields, got {len(row)}")
             name = row[0].strip()

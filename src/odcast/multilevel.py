@@ -37,6 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionMismatch
+from .events import write_csv
 from .memory import DecayConfig, StationMessages
 
 
@@ -209,7 +210,5 @@ def relation_rows(relations: RelationTensors, view: str) -> list[tuple[int, int,
 
 
 def write_relation_csv(relations: RelationTensors, view: str, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("head,station,cluster,weight\n")
-        for h, i, j, w in relation_rows(relations, view):
-            fh.write(f"{h},{i},{j},{w!r}\n")
+    write_csv(path, ("head", "station", "cluster", "weight"),
+              (f"{h},{i},{j},{w!r}\n" for h, i, j, w in relation_rows(relations, view)))

@@ -23,7 +23,7 @@ import numpy as np
 from . import evaluation
 from .autodiff import Tensor, backward, zero_grads
 from .errors import ChecksumMismatch, EmptyTrainSplit, IoError, ShapeError, VersionMismatch
-from .events import Events, EventStream, NodeCatalog, od_matrix_series
+from .events import Events, EventStream, NodeCatalog, od_matrix_series, write_csv
 from .events import batch_by_window  # noqa: F401  (perfbench traces training.batch_by_window)
 from .model import HyperParams, ModelParams, empty_params, init_params, od_loss, predict_od
 from .model import step  # noqa: F401  (perfbench traces training.step)
@@ -212,10 +212,8 @@ class EarlyStopper:
 
 
 def write_history(history: Sequence[EpochStats], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("epoch,train_loss,val_mae,val_rmse,val_pcc,seconds\n")
-        for stats in history:
-            fh.write(stats.row() + "\n")
+    write_csv(path, ("epoch", "train_loss", "val_mae", "val_rmse", "val_pcc", "seconds"),
+              (stats.row() + "\n" for stats in history))
 
 
 # -- the loop ------------------------------------------------------------

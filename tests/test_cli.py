@@ -240,10 +240,16 @@ PROFILES = {
       for name in PROFILES),
     *((["train", "--events", "{events}", "--catalog", "{catalog}", flag, "-1"], 2,
        "UsageError") for flag in SPLIT_FLAGS),
+    (["grad-check", "--toy", "--out", "{tmp}/missing/fd.csv"], 1, "IoError"),
+    (["export-reps", "--checkpoint", "{checkpoint}", "--events", "{events}",
+      "--catalog", "{catalog}", "--nodes", "0", "--out", "{tmp}/missing/reps.csv"], 1, "IoError"),
+    (["export-relations", "--checkpoint", "{checkpoint}", "--events", "{events}",
+      "--catalog", "{catalog}", "--out", "{tmp}/dim.json/relations"], 1, "IoError"),
 ], ids=["missing-events", "missing-catalog", "zero-heads", "tau-not-dividing-day",
         "node-out-of-range", "zero-cap", "non-integer-config-value", "t0-after-first-event",
         "non-utf8-events", *TRAIN_CONFIGS, "tau-flag-too-many-windows", *PROFILES,
-        *(f"negative-{flag[2:]}" for flag in SPLIT_FLAGS)])
+        *(f"negative-{flag[2:]}" for flag in SPLIT_FLAGS), "grad-check-out-in-missing-dir",
+        "export-reps-out-in-missing-dir", "export-relations-out-under-a-file"])
 def test_bad_input_is_one_line_error(tmp_path, capsys, synth_dir, trained_dir, argv, code,
                                      error):
     (tmp_path / "dim.json").write_text(json.dumps({"dim": "abc"}))

@@ -150,13 +150,108 @@ def block_starts(text):
     stream = io.StringIO(text, newline="")
     stream.readline()  # the header
     starts, line = [], 2
-    for lines, _ in events_module._blocks(stream):
+    for lines in events_module._blocks(stream):
         starts.append(line)
         line += len(lines)
     return starts
 
 
 QUOTED_NAMES = ("a", "b,c", 'q"x', "s p\nq")
+
+
+def reference_load_catalog(stream):
+    """The row-at-a-time catalog load: ``csv.reader`` over the text stream and the
+    per-row checks, one row at a time, then the index checks."""
+    pairs = []
+    reader = csv.reader(stream, strict=True)
+    try:
+        first = next(reader, None)
+        if first is None or [h.strip().lower() for h in first] != ["name", "index"]:
+            raise MalformedRow(1, f"expected header name,index, got {first}")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise MalformedRow(line, f"expected 2 fields, got {len(row)}")
+            name = row[0].strip()
+            if name in dict(pairs):
+                raise MalformedRow(line, f"duplicate catalog name {name!r}")
+            try:
+                pairs.append((name, int(row[1])))
+            except ValueError:
+                raise MalformedRow(line, f"bad index {row[1]!r}") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(reader.line_num + 1,
+                           f"not UTF-8 text at or after this line ({exc.reason})") from None
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
+    if not pairs:
+        raise MalformedRow(2, "catalog lists no nodes")
+    names = [None] * len(pairs)
+    for name, idx in pairs:
+        if not 0 <= idx < len(pairs):
+            raise MalformedRow(1, f"catalog indices must cover 0..{len(pairs) - 1}, got {idx}")
+        if names[idx] is not None:
+            raise MalformedRow(1, f"duplicate catalog index {idx}")
+        names[idx] = name
+    return NodeCatalog(n=len(pairs), names=tuple(names))
+
+
+def catalog_outcome(load, source):
+    """The loaded names, or the error's class, line and message."""
+    try:
+        return load(source).names
+    except OdcastError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+@st.composite
+def catalog_csv_texts(draw):
+    """A catalog CSV text: rows of distinct names with their indices, in any order,
+    a few of them corrupted.  Rows are written quoted or raw and end in LF, CRLF or
+    bare CR, with an occasional blank or whitespace-only line.  Corruptions bring
+    csv errors (stray quotes, NUL, an open quote at the end), extra or missing
+    cells, bad, out-of-range and duplicate indices, and duplicate names."""
+    names = draw(st.lists(st.sampled_from(NAMES + QUOTED_NAMES + (" up ",)), max_size=8,
+                          unique=True))
+    rows = draw(st.permutations([[name, str(i)] for i, name in enumerate(names)]))
+    bad_index = st.sampled_from(["-1", "99", str(len(rows)), "1.0", " 1 ", "x", ""])
+    junk = st.one_of(bad_index, st.sampled_from(['"a"', 'a"', '"']),
+                     st.text(',"\r\n\0 ab1', max_size=4))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        change = draw(st.sampled_from(["index", "duplicate", "replace", "insert", "drop"]))
+        if change == "index" and len(row) > 1:
+            row[1] = draw(bad_index)
+        elif change == "duplicate" and len(rows) > 1:  # another row's name or index
+            other = rows[(i + draw(st.integers(1, len(rows) - 1))) % len(rows)]
+            at = draw(st.integers(0, min(len(row), len(other)) - 1))
+            row[at] = other[at]
+        elif change == "insert":
+            row.insert(draw(st.integers(0, len(row))), draw(junk))
+        elif row:
+            at = draw(st.integers(0, len(row) - 1))
+            if change == "drop":
+                del row[at]
+            else:
+                row[at] = draw(junk)
+    header = draw(st.sampled_from(["name,index", '"name", index', "Name ,INDEX"] * 3 + ["name"]))
+    ends = st.sampled_from(draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"],
+                                                 ["\n", "\r\n", "\r"]])))
+    out = [header, draw(ends)]
+    for row in rows:
+        if draw(st.sampled_from([True] * 3 + [False])):  # mostly quoted where needed, else raw
+            quoted = io.StringIO()
+            csv.writer(quoted, lineterminator="").writerow(row)
+            out.append(quoted.getvalue())
+        else:
+            out.append(",".join(row))
+        out.append(draw(ends))
+        if draw(st.sampled_from([False] * 9 + [True])):
+            out.append(draw(st.sampled_from(["\n", "\r\n", "  \n"])))
+    text = "".join(out)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
 
 
 @st.composite
@@ -543,8 +638,9 @@ class TestCatalogFiles:
         assert parse_events(tmp_path / "events.csv", loaded) == EventStream.of(rows)
 
     @settings(max_examples=100, deadline=None)
-    @given(names=st.lists(st.text(st.characters(blacklist_characters="\r"), min_size=1,
-                                  max_size=6), min_size=1, max_size=6, unique=True),
+    @given(names=st.lists(st.text(st.characters(blacklist_characters="\r",
+                                                blacklist_categories=("Cs",)),
+                                  min_size=1, max_size=6), min_size=1, max_size=6, unique=True),
            data=st.data())
     def test_names_without_cr_keep_the_csv_writer_bytes(self, names, data):
         catalog = NodeCatalog(n=len(names), names=names)
@@ -664,6 +760,15 @@ class TestCatalogFiles:
         raw = csv_bytes(("name", "index"), table, data, kind)
         with pytest.raises(OdcastError):
             load_catalog(io.BytesIO(raw))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=catalog_csv_texts(), kind=st.sampled_from(["bytes", "str", None, "\n", "\r"]),
+           chunk=st.sampled_from([1, 5, 8192]),
+           bad=st.sampled_from([None] * 3 * len(BAD_UTF8) + list(BAD_UTF8)), at=st.floats(0, 1))
+    def test_corrupt_catalog_matches_the_row_at_a_time_load(self, text, kind, chunk, bad, at):
+        source, reference_source = sources(text, kind, chunk, bad and (at, bad))
+        assert catalog_outcome(load_catalog, source) == \
+            catalog_outcome(reference_load_catalog, reference_source)
 
 
 class TestBatchByWindow:
