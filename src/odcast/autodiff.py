@@ -2,17 +2,23 @@
 
 A :class:`Tensor` records the operation that produced it together with
 vector-Jacobian closures for its parents; :func:`backward` replays the tape
-in reverse topological order.  The op set is deliberately small: matrix
-multiply, the affine map ``linear`` (``x @ w^T + b``), the batched product
-and head merge of stacked heads, transpose, concat, split, elementwise
-add/mul, scalar scale, exp, rectifier, softmax over an axis, sum over an
-axis, mean, square, the pairwise MLP head ``pair_head``, which maps an
-(n, k) matrix to one value per ordered row pair (n^2 rows) without storing
-the (n^2, m) hidden layer, and the masked squared error ``masked_mse``
-against a constant target.  There is no general broadcasting: ``linear``
-alone adds a length-m bias to every row and broadcasts a leading head
-axis.  A :class:`View` names one slice of a tensor, such as one head of a
-stacked weight, without putting it on the tape.
+in reverse topological order.  The op set is small.  Elementwise and shape
+ops: matrix multiply, transpose, concat, split, add, mul, scalar scale, exp,
+rectifier, softmax over an axis, sum over an axis, mean and square.  Each
+stage of the model is one op whose forward is plain numpy and whose VJP is
+written out next to it: the rectifier MLP ``mlp``, the per-head ``bilinear``
+relation logits, the attention-weighted ``head_project``, the memory
+update ``decayed_update``, ``head_mean`` and ``fuse_columns`` for
+cross-level fusion, the pairwise MLP head ``pair_head``, which maps an (n, k)
+matrix to one value per ordered row pair (n^2 rows) without storing the
+(n^2, m) hidden layer, and the masked squared error ``masked_mse`` against a
+constant target.  A non-finite intermediate of a stage op makes its output
+non-finite, so the output check names the op; the intermediate gradients of
+its VJP are checked under its name too.
+There is no general broadcasting: biases ride inside ``mlp`` and
+``pair_head``, and a leading head axis only in the ops that document it.  A
+:class:`View` names one slice of a tensor, such as one head of a stacked
+weight, without putting it on the tape.
 
 Every forward value and every gradient is checked for NaN/Inf and aborts
 with diagnostics when one appears.
@@ -121,12 +127,21 @@ def constant(x, name: str | None = None) -> Tensor:
     return Tensor(x, requires_grad=False, name=name)
 
 
+def detach(t: Tensor) -> Tensor:
+    """A constant sharing ``t``'s data, off the tape; the data was checked when
+    ``t`` was made, so it is not checked again."""
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.requires_grad, out.name = t.data, None, False, t.name
+    out._parents, out._vjp, out._backward_ran = (), None, False
+    return out
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           vjp: Callable[[np.ndarray], tuple[np.ndarray | None, ...]], op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = any([p.requires_grad for p in parents])
     out.name = op
     out._parents = tuple(parents)
     out._vjp = vjp
@@ -151,56 +166,153 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp, "matmul")
 
 
-def _sum_heads(g: np.ndarray, ndim: int) -> np.ndarray:
-    """Sum a gradient over the head axis its operand was broadcast along."""
-    return g.sum(axis=0) if g.ndim > ndim else g
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """``x @ w^T + b`` for ``x`` (n, k) or (H, n, k) and ``w`` (m, k) or (H, m, k).
-
-    A head axis on either operand broadcasts, giving (H, n, m); ``b`` is a
-    length-m bias added to every row.
-    """
-    xs, ws = x.data.shape, w.data.shape
-    if (not 2 <= len(xs) <= 3 or not 2 <= len(ws) <= 3 or xs[-1] != ws[-1]
-            or len(xs) == len(ws) == 3 and xs[0] != ws[0]
-            or b is not None and b.data.shape != ws[-2:-1]):
-        bias = "" if b is None else f" plus {b.data.shape}"
-        raise ShapeError(f"linear of {xs} and {ws}{bias}")
-    out = np.matmul(x.data, w.data.swapaxes(-1, -2))
-    if b is not None:
-        out += b.data
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """One hidden rectifier layer, ``relu(x @ w1^T + b1) @ w2^T + b2``, for ``x``
+    (n, k), ``w1`` (m, k), ``b1`` (m,), ``w2`` (o, m) and ``b2`` (o,): (n, o)."""
+    xs, ws, vs = x.data.shape, w1.data.shape, w2.data.shape
+    if (len(xs) != 2 or len(ws) != 2 or len(vs) != 2 or xs[1] != ws[1] or vs[1] != ws[0]
+            or b1.data.shape != ws[:1] or b2.data.shape != vs[:1]):
+        raise ShapeError(f"mlp of {xs}, {ws}, {b1.data.shape}, {vs} and {b2.data.shape}")
+    pre = np.matmul(x.data, w1.data.T)
+    pre += b1.data
+    mask = pre > 0.0  # derivative at exactly 0 is 0
+    hidden = pre * mask
+    out = np.matmul(hidden, w2.data.T)
+    out += b2.data
+    hidden_live = x.requires_grad or w1.requires_grad or b1.requires_grad
 
     def vjp(g: np.ndarray):
         # A constant operand gets no gradient, so its product is skipped.
-        return (_sum_heads(g @ w.data, len(xs)) if x.requires_grad else None,
-                _sum_heads(g.swapaxes(-1, -2) @ x.data, len(ws)) if w.requires_grad else None,
-                g.sum(axis=tuple(range(g.ndim - 1))) if b is not None and b.requires_grad else None)
+        g_pre = None
+        if hidden_live:
+            g_hidden = g @ w2.data
+            _assert_finite(g_hidden, "gradient in op mlp (hidden layer)")
+            g_pre = g_hidden * mask
+        return (g_pre @ w1.data if x.requires_grad else None,
+                g_pre.T @ x.data if w1.requires_grad else None,
+                g_pre.sum(axis=0) if b1.requires_grad else None,
+                g.T @ hidden if w2.requires_grad else None,
+                g.sum(axis=0) if b2.requires_grad else None)
 
-    return _make(out, (x, w) if b is None else (x, w, b), vjp, "linear")
+    return _make(out, (x, w1, b1, w2, b2), vjp, "mlp")
 
 
-def batch_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """One matrix product per head: (H, n, k) by (H, k, m) gives (H, n, m)."""
-    if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[::2] != b.data.shape[:2]:
-        raise ShapeError(f"batch_matmul of {a.data.shape} and {b.data.shape}")
+def bilinear(x: Tensor, wx: Tensor, y: Tensor, wy: Tensor) -> Tensor:
+    """Per-head bilinear scores ``(x @ wx[h]^T) @ (y @ wy[h]^T)^T`` for ``x`` (n, d),
+    ``y`` (m, d) and ``wx``, ``wy`` (H, r, d): (H, n, m)."""
+    xs, ys, wxs, wys = x.data.shape, y.data.shape, wx.data.shape, wy.data.shape
+    if (len(xs) != 2 or len(ys) != 2 or len(wxs) != 3 or wxs[:2] != wys[:2]
+            or len(wys) != 3 or xs[1] != wxs[2] or ys[1] != wys[2]):
+        raise ShapeError(f"bilinear of {xs}, {wxs}, {ys} and {wys}")
+    left = np.matmul(x.data, wx.data.swapaxes(-1, -2))   # (H, n, r)
+    right = np.matmul(y.data, wy.data.swapaxes(-1, -2))  # (H, m, r)
+    out = np.matmul(left, right.swapaxes(-1, -2))
+    left_live = x.requires_grad or wx.requires_grad
+    right_live = y.requires_grad or wy.requires_grad
 
     def vjp(g: np.ndarray):
-        return (g @ b.data.swapaxes(1, 2) if a.requires_grad else None,
-                a.data.swapaxes(1, 2) @ g if b.requires_grad else None)
+        # A constant operand gets no gradient, so its product is skipped.
+        g_left = g_right = None
+        if left_live:
+            g_left = g @ right
+            _assert_finite(g_left, "gradient in op bilinear (left projection)")
+        if right_live:
+            g_right = g.swapaxes(-1, -2) @ left
+            _assert_finite(g_right, "gradient in op bilinear (right projection)")
+        return ((g_left @ wx.data).sum(axis=0) if x.requires_grad else None,
+                g_left.swapaxes(-1, -2) @ x.data if wx.requires_grad else None,
+                (g_right @ wy.data).sum(axis=0) if y.requires_grad else None,
+                g_right.swapaxes(-1, -2) @ y.data if wy.requires_grad else None)
 
-    return _make(np.matmul(a.data, b.data), (a, b), vjp, "batch_matmul")
+    return _make(out, (x, wx, y, wy), vjp, "bilinear")
 
 
-def merge_heads(a: Tensor) -> Tensor:
-    """Heads side by side: (H, k, n) gives (n, H*k) with ``out[j, h*k + i] = a[h, i, j]``."""
-    if a.data.ndim != 3:
-        raise ShapeError(f"merge_heads needs (H, k, n), got {a.data.shape}")
-    heads, k, n = a.data.shape
-    out = a.data.transpose(2, 0, 1).reshape(n, heads * k)
-    return _make(out, (a,), lambda g: (g.reshape(n, heads, k).transpose(1, 2, 0),),
-                 "merge_heads")
+def head_project(w: Tensor, x: Tensor, attn: Tensor) -> Tensor:
+    """Attention-weighted projections, heads side by side: for ``w`` (H, o, k), ``x``
+    (n, k) and ``attn`` (H, n, c), ``out[i, h*o + p] = sum_j attn[h, j, i] (w[h] @ x[j])[p]``,
+    a (c, H*o) matrix."""
+    ws, xs, attns = w.data.shape, x.data.shape, attn.data.shape
+    if (len(ws) != 3 or len(xs) != 2 or len(attns) != 3 or ws[2] != xs[1]
+            or attns[:2] != (ws[0], xs[0])):
+        raise ShapeError(f"head_project of {ws}, {xs} and {attns}")
+    projected = np.matmul(w.data, x.data.swapaxes(-1, -2))  # (H, o, n)
+    heads, o, c = ws[0], ws[1], attns[2]
+    out = np.matmul(projected, attn.data).transpose(2, 0, 1).reshape(c, heads * o)
+    projected_live = w.requires_grad or x.requires_grad
+
+    def vjp(g: np.ndarray):
+        # A constant operand gets no gradient, so its product is skipped.
+        g_heads = g.reshape(c, heads, o).transpose(1, 2, 0)  # (H, o, c)
+        g_projected = None
+        if projected_live:
+            g_projected = g_heads @ attn.data.swapaxes(1, 2)
+            _assert_finite(g_projected, "gradient in op head_project (projection)")
+        return (g_projected @ x.data if w.requires_grad else None,
+                (g_projected.swapaxes(-1, -2) @ w.data).sum(axis=0) if x.requires_grad else None,
+                projected.swapaxes(1, 2) @ g_heads if attn.requires_grad else None)
+
+    return _make(out, (w, x, attn), vjp, "head_project")
+
+
+def decayed_update(base: Tensor, decay: float, update: Tensor,
+                   rows: np.ndarray | None = None) -> Tensor:
+    """``base * decay + update``, with row i of ``update`` times ``rows[i]`` when a
+    constant 0/1 vector ``rows`` is given."""
+    if base.data.shape != update.data.shape or (
+            rows is not None and rows.shape != base.data.shape[:1]):
+        rows_shape = "" if rows is None else f" by rows {rows.shape}"
+        raise ShapeError(f"decayed_update of {base.data.shape} and {update.data.shape}"
+                         f"{rows_shape}")
+    decay = float(decay)
+    column = None if rows is None else rows[:, None]
+    out = base.data * decay + (update.data if column is None else update.data * column)
+
+    def vjp(g: np.ndarray):
+        return (g * decay if base.requires_grad else None,
+                g if column is None else g * column)
+
+    return _make(out, (base, update), vjp, "decayed_update")
+
+
+def head_mean(a: Tensor) -> Tensor:
+    """Mean over the leading (head) axis, as the sum times ``1/H``."""
+    factor = 1.0 / a.data.shape[0]
+    shape = a.data.shape
+    return _make(a.data.sum(axis=0) * factor, (a,),
+                 lambda g: (np.broadcast_to((g * factor)[None], shape),), "head_mean")
+
+
+def fuse_columns(station: Tensor, clusters: Tensor, area: Tensor,
+                 row_scale: np.ndarray | None = None) -> Tensor:
+    """``[station | clusters | area]`` side by side for ``station`` (n, d),
+    ``clusters`` (n, c) and ``area`` (1, e), the area row repeated on every row.
+    With a constant ``row_scale`` (n,), row i of the station block is scaled by
+    ``row_scale[i]``.  The area block is ``area + 0.0``, which turns -0.0 into
+    +0.0 exactly as a product with a column of ones does; the area's gradient,
+    a column sum, is taken as that product too, so it sums in BLAS's order.
+    """
+    ss, cs, es = station.data.shape, clusters.data.shape, area.data.shape
+    if (len(ss) != 2 or len(cs) != 2 or len(es) != 2 or cs[0] != ss[0] or es[0] != 1
+            or row_scale is not None and row_scale.shape != ss[:1]):
+        scale = "" if row_scale is None else f" scaled by {row_scale.shape}"
+        raise ShapeError(f"fuse_columns of {ss}{scale}, {cs} and {es}")
+    (n, d), c, e = ss, cs[1], es[1]
+    column = None if row_scale is None else row_scale[:, None]
+    out = np.empty((n, d + c + e))
+    if column is None:
+        out[:, :d] = station.data
+    else:
+        np.multiply(station.data, column, out=out[:, :d])
+    out[:, d:d + c] = clusters.data
+    np.add(area.data, 0.0, out=out[:, d + c:])
+
+    def vjp(g: np.ndarray):
+        g_station = g[:, :d]
+        return (g_station if column is None else g_station * column,
+                g[:, d:d + c],
+                np.ones((n, 1)).T @ g[:, d + c:] if area.requires_grad else None)
+
+    return _make(out, (station, clusters, area), vjp, "fuse_columns")
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -348,12 +460,13 @@ def square(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    # The ufunc reductions are what ``max`` and ``sum`` call, minus their wrappers.
+    out = a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=axis, keepdims=True)
 
     def vjp(g: np.ndarray):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = np.add.reduce(g * out, axis=axis, keepdims=True)
         return (out * (g - inner),)
 
     return _make(out, (a,), vjp, "softmax")

@@ -36,6 +36,11 @@ ABLATIONS = {"no-ml": "no_multilevel", "no-mu": "no_weighted_update", "mse-loss"
 #: per-window array is built: 0.5 GiB of float64.  Criterion 7 needs 864 x 24^2.
 MAX_TRUTH_CELLS = 1 << 26
 
+#: Most cells any one array of a model, or of oracle-check, may have, checked
+#: before any is built: 0.5 GiB of float64.  The default model's largest, the
+#: output head's first layer, has 6 x 256^2.
+MAX_ARRAY_CELLS = 1 << 26
+
 
 #: A key's type, default and flag help (None: config file only).  ``kind`` is bool, int,
 #: float, str, a tuple of allowed strings, or a function that types a JSON value.
@@ -138,6 +143,28 @@ def _splits_from(rc: RunConfig, hyper: HyperParams) -> Splits:
     return _checked(Splits.from_days, *days, hyper.tau, day_length=day_length)
 
 
+def _within_cells(arrays: dict[str, tuple[int, ...]]) -> None:
+    """A UsageError naming the first array with more than :data:`MAX_ARRAY_CELLS` cells."""
+    for what, shape in arrays.items():
+        if math.prod(shape) > MAX_ARRAY_CELLS:
+            raise UsageError(f"{what} would be {' x '.join(map(str, shape))}: more than "
+                             f"{MAX_ARRAY_CELLS} cells")
+
+
+def _sized(hyper: HyperParams) -> HyperParams:
+    """``hyper``, if none of its model's parameter or per-step arrays is too big."""
+    h, d, m, n, c = hyper.heads, hyper.dim, hyper.msg_dim, hyper.n, hyper.n_clusters
+    d_s = hyper.station_msg_dim
+    _within_cells({"attention weights (heads x rel_dim x dim)": (h, hyper.rel_dim, d),
+                   "relation logits (heads x nodes x n_clusters)": (h, n, c),
+                   "cluster memories (n_clusters x dim)": (c, d),
+                   "station update map (dim x station message)": (d, d_s),
+                   "message projection (msg_dim x station message)": (m, d_s),
+                   "level update map (dim x msg_dim)": (d, m),
+                   "output head (dim x 6 dim)": (d, 6 * d)})
+    return hyper
+
+
 def _load_stream(rc: RunConfig, n: int | None = None):
     """The ``--events`` stream and its catalog (``--catalog``, else ``n`` or ``--n`` nodes)."""
     events_path = rc.get("events")
@@ -193,7 +220,7 @@ def cmd_train(rc: RunConfig) -> int:
     kwargs = {key: rc.get(key) for key in HYPER if key != "ablation"}
     if (ablation := rc.get("ablation")) is not None:
         kwargs[ABLATIONS[ablation]] = True
-    hyper = _checked(HyperParams, n=catalog.n, **kwargs)
+    hyper = _sized(_checked(HyperParams, n=catalog.n, **kwargs))
     splits = _splits_from(rc, hyper)
     tc = _checked(TrainConfig, max_epochs=rc.get("epochs"), splits=splits,
                   **{key: rc.get(key) for key in ("patience", "lr", "seed", "t0")})
@@ -250,8 +277,11 @@ def cmd_predict(rc: RunConfig) -> int:
 
 
 def cmd_oracle_check(rc: RunConfig) -> int:
-    result = checks.oracle_equivalence_check(n_events=rc.get("events"), n_nodes=rc.get("nodes"),
-                                             n_batches=rc.get("batches"), seed=rc.get("seed"))
+    n_events, n_nodes, n_batches = rc.get("events"), rc.get("nodes"), rc.get("batches")
+    _within_cells({"the event columns": (n_events,), "the flow matrix (nodes x nodes)":
+                   (n_nodes, n_nodes), "the window edges": (n_batches,)})
+    result = checks.oracle_equivalence_check(n_events=n_events, n_nodes=n_nodes,
+                                             n_batches=n_batches, seed=rc.get("seed"))
     tol = rc.get("tol")
     status = "OK" if result.passed(tol) else "FAIL"
     print(f"oracle-check: max_rel_error={result.max_rel_error:.3e} over "
@@ -262,8 +292,10 @@ def cmd_oracle_check(rc: RunConfig) -> int:
 
 def cmd_grad_check(rc: RunConfig) -> int:
     tol = rc.get("tol")
-    report = checks.toy_gradient_check(seed=rc.get("seed"), tol=tol)
     out = rc.get("out")
+    if out:
+        open(out, "a").close()  # an unwritable --out fails here, before the check runs
+    report = checks.toy_gradient_check(seed=rc.get("seed"), tol=tol)
     if out:
         report.write_csv(out)
     for array, worst in sorted(report.by_array().items()):

@@ -135,8 +135,7 @@ def update_stations(a: np.ndarray, b: np.ndarray, update: Tensor, q: np.ndarray,
     ``a'`` is returned on the tape so gradients reach the update map.
     """
     decay = cfg.factor(dt, weighted)
-    active = np.broadcast_to((q > 0.0)[:, None].astype(float), update.data.shape)
-    a_new = ad.add(ad.scale(ad.constant(a), decay), ad.mul(update, ad.constant(active)))
+    a_new = ad.decayed_update(ad.constant(a), decay, update, rows=(q > 0.0).astype(float))
     return a_new, decay * b + q
 
 

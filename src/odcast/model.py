@@ -89,7 +89,7 @@ class Mlp:
     b2: Tensor
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.linear(ad.relu(ad.linear(x, self.w1, self.b1)), self.w2, self.b2)
+        return ad.mlp(x, self.w1, self.b1, self.w2, self.b2)
 
     def tensors(self) -> Iterator[tuple[str, Tensor]]:
         yield "w1", self.w1
@@ -258,12 +258,11 @@ def step(bank: MemoryBank, batch: EventBatch, params: ModelParams, hyper: HyperP
     a_new, b_new = update_stations(bank.station_a, bank.station_b,
                                    params.station_mlp(ad.constant(msgs.p)), msgs.q,
                                    t - bank.last_update, cfg, hyper.weighted)
-    inv_b = np.broadcast_to((1.0 / b_new)[:, None], a_new.data.shape)
-    r_new = ad.mul(a_new, ad.constant(inv_b))
+    inv_b = 1.0 / b_new  # the station block of z is a_new / b_new, row by row
 
     if hyper.no_multilevel:
-        zeros = ad.constant(np.zeros((hyper.n, 2 * hyper.dim)))
-        z = ad.concat([r_new, zeros], axis=1)
+        z = ad.fuse_columns(a_new, ad.constant(np.zeros((hyper.n, hyper.dim))),
+                            ad.constant(np.zeros((1, hyper.dim))), inv_b)
         relations = None
         new_levels = bank.levels
     else:
@@ -277,7 +276,7 @@ def step(bank: MemoryBank, batch: EventBatch, params: ModelParams, hyper: HyperP
             bank.levels, cluster_msgs, area_msg, t, params.cluster_mlp, params.area_mlp,
             cfg, weighted=hyper.weighted, suppress_update=(len(batch) == 0),
         )
-        z = fuse(r_new, new_levels, relations)
+        z = fuse(a_new, new_levels, relations, row_scale=inv_b)
 
     bank.station_a = a_new.data
     bank.station_b = b_new

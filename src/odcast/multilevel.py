@@ -86,8 +86,9 @@ class LevelState:
         return self.area_mem.data if isinstance(self.area_mem, Tensor) else self.area_mem
 
     def detached(self) -> "LevelState":
-        return LevelState(self.cluster_array().copy(), self.area_array().copy(),
-                          self.last_update)
+        """The memories as constants off the tape, for the next step to read."""
+        return LevelState(ad.detach(ad.as_tensor(self.cluster_mem)),
+                          ad.detach(ad.as_tensor(self.area_mem)), self.last_update)
 
 
 def _check_projection(w: Tensor, heads: int, d: int, what: str) -> None:
@@ -119,8 +120,8 @@ def compute_relations(station_reps, cluster_reps, area_rep, attn: AttentionWeigh
     for what in ("w_c1", "w_c2", "w_g1", "w_g2"):
         _check_projection(getattr(attn, what), attn.heads, d, what)
 
-    ac = ad.linear(ad.linear(station, attn.w_c1), ad.linear(cluster, attn.w_c2))
-    ag = ad.linear(ad.linear(cluster, attn.w_g1), ad.linear(area, attn.w_g2))
+    ac = ad.bilinear(station, attn.w_c1, cluster, attn.w_c2)
+    ag = ad.bilinear(cluster, attn.w_g1, area, attn.w_g2)
     if scale_logits:
         norm = 1.0 / np.sqrt(attn.w_c1.data.shape[1])
         ac = ad.scale(ac, norm)
@@ -131,10 +132,8 @@ def compute_relations(station_reps, cluster_reps, area_rep, attn: AttentionWeigh
 
 def message_ratios(msgs: StationMessages) -> np.ndarray:
     """Per-station normalized messages p/q, with zero rows where q == 0."""
-    out = np.zeros_like(msgs.p)
-    active = msgs.q > 0.0
-    out[active] = msgs.p[active] / msgs.q[active, None]
-    return out
+    q = msgs.q[:, None]
+    return np.divide(msgs.p, q, out=np.zeros_like(msgs.p), where=q > 0.0)
 
 
 def project_cluster_messages(relations: RelationTensors, msgs: StationMessages,
@@ -148,14 +147,14 @@ def project_cluster_messages(relations: RelationTensors, msgs: StationMessages,
     """
     ratios = ad.constant(message_ratios(msgs))
     _check_projection(w_c3, relations.heads, ratios.data.shape[1], "w_c3")
-    return ad.merge_heads(ad.batch_matmul(ad.linear(w_c3, ratios), relations.acm))
+    return ad.head_project(w_c3, ratios, relations.acm)
 
 
 def project_area_message(relations: RelationTensors, cluster_msgs: Tensor,
                          w_g3: Tensor) -> Tensor:
     """Attention-weighted projection of cluster messages up to the area node."""
     _check_projection(w_g3, relations.heads, cluster_msgs.data.shape[1], "w_g3")
-    return ad.merge_heads(ad.batch_matmul(ad.linear(w_g3, cluster_msgs), relations.agm))
+    return ad.head_project(w_g3, cluster_msgs, relations.agm)
 
 
 def update_level_memories(state: LevelState, cluster_msgs: Tensor, area_msg: Tensor,
@@ -170,22 +169,26 @@ def update_level_memories(state: LevelState, cluster_msgs: Tensor, area_msg: Ten
     """
     dt = t - state.last_update
     decay = cfg.factor(dt, weighted)
-    cluster = ad.scale(ad.as_tensor(state.cluster_mem), decay)
-    area = ad.scale(ad.as_tensor(state.area_mem), decay)
-    if not suppress_update:
-        cluster = ad.add(cluster, cluster_mlp(cluster_msgs))
-        area = ad.add(area, area_mlp(area_msg))
+    cluster, area = ad.as_tensor(state.cluster_mem), ad.as_tensor(state.area_mem)
+    if suppress_update:
+        cluster, area = ad.scale(cluster, decay), ad.scale(area, decay)
+    else:
+        cluster = ad.decayed_update(cluster, decay, cluster_mlp(cluster_msgs))
+        area = ad.decayed_update(area, decay, area_mlp(area_msg))
     return LevelState(cluster_mem=cluster, area_mem=area, last_update=t)
 
 
-def fuse(station_reps, state: LevelState, relations: RelationTensors) -> Tensor:
+def fuse(station_reps, state: LevelState, relations: RelationTensors,
+         row_scale: np.ndarray | None = None) -> Tensor:
     """Concatenate station representations with their level memories.
 
     The cluster block reuses the relation logits, row-normalized so each
     station takes a convex combination of cluster memories per head,
     averaged over heads.  The area block is the area memory on every row: a
     station reaches the single area node through its clusters, whose weights
-    sum to 1 and whose cluster-to-area weights are all 1.
+    sum to 1 and whose cluster-to-area weights are all 1.  With ``row_scale``
+    given, row i of ``station_reps`` is scaled by ``row_scale[i]`` first;
+    the model passes the station accumulators ``a`` with ``1/b``.
     """
     station = ad.as_tensor(station_reps)
     cluster_mem = ad.as_tensor(state.cluster_mem)
@@ -196,11 +199,8 @@ def fuse(station_reps, state: LevelState, relations: RelationTensors) -> Tensor:
             f"station width {station.data.shape}"
         )
     # Averaging the weights over heads first takes one product, not one per head.
-    weights = ad.scale(ad.tensor_sum(relations.ace, axis=0), 1.0 / relations.heads)
-    from_clusters = ad.matmul(weights, cluster_mem)                        # (N, d)
-    # A ones column broadcasts the area row and keeps the area memory on the tape.
-    from_area = ad.matmul(ad.constant(np.ones((station.data.shape[0], 1))), area_mem)
-    return ad.concat([station, from_clusters, from_area], axis=1)
+    from_clusters = ad.matmul(ad.head_mean(relations.ace), cluster_mem)  # (N, d)
+    return ad.fuse_columns(station, from_clusters, area_mem, row_scale)
 
 
 def relation_rows(relations: RelationTensors, view: str) -> list[tuple[int, int, int, float]]:

@@ -14,6 +14,58 @@ def param(data, name=None):
     return Tensor(np.asarray(data, dtype=float), requires_grad=True, name=name)
 
 
+# The ops the stage ops were built from, as they were: the references that the
+# bitwise properties below compare each stage op with.  TestLinear and TestHeads
+# check them against central differences, so a property measures against a
+# reference that is itself right.
+
+def _sum_heads(g, ndim):
+    """Sum a gradient over the head axis its operand was broadcast along."""
+    return g.sum(axis=0) if g.ndim > ndim else g
+
+
+def linear(x, w, b=None):
+    """``x @ w^T + b`` for ``x`` (n, k) or (H, n, k) and ``w`` (m, k) or (H, m, k)."""
+    xs, ws = x.data.shape, w.data.shape
+    if (not 2 <= len(xs) <= 3 or not 2 <= len(ws) <= 3 or xs[-1] != ws[-1]
+            or len(xs) == len(ws) == 3 and xs[0] != ws[0]
+            or b is not None and b.data.shape != ws[-2:-1]):
+        raise ShapeError(f"linear of {xs} and {ws}")
+    out = np.matmul(x.data, w.data.swapaxes(-1, -2))
+    if b is not None:
+        out += b.data
+
+    def vjp(g):
+        return (_sum_heads(g @ w.data, len(xs)) if x.requires_grad else None,
+                _sum_heads(g.swapaxes(-1, -2) @ x.data, len(ws)) if w.requires_grad else None,
+                g.sum(axis=tuple(range(g.ndim - 1))) if b is not None and b.requires_grad
+                else None)
+
+    return ad._make(out, (x, w) if b is None else (x, w, b), vjp, "linear")
+
+
+def batch_matmul(a, b):
+    """One matrix product per head: (H, n, k) by (H, k, m) gives (H, n, m)."""
+    if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[::2] != b.data.shape[:2]:
+        raise ShapeError(f"batch_matmul of {a.data.shape} and {b.data.shape}")
+
+    def vjp(g):
+        return (g @ b.data.swapaxes(1, 2) if a.requires_grad else None,
+                a.data.swapaxes(1, 2) @ g if b.requires_grad else None)
+
+    return ad._make(np.matmul(a.data, b.data), (a, b), vjp, "batch_matmul")
+
+
+def merge_heads(a):
+    """Heads side by side: (H, k, n) gives (n, H*k) with ``out[j, h*k + i] = a[h, i, j]``."""
+    if a.data.ndim != 3:
+        raise ShapeError(f"merge_heads needs (H, k, n), got {a.data.shape}")
+    heads, k, n = a.data.shape
+    out = a.data.transpose(2, 0, 1).reshape(n, heads * k)
+    return ad._make(out, (a,), lambda g: (g.reshape(n, heads, k).transpose(1, 2, 0),),
+                    "merge_heads")
+
+
 class TestForward:
     def test_matmul(self):
         a, b = param([[1.0, 2.0], [3.0, 4.0]]), param([[5.0], [6.0]])
@@ -39,9 +91,10 @@ class TestForward:
         assert np.allclose(s.data.sum(axis=1), 1.0)
 
     def test_bias_add(self):
-        # A bias rides in ``linear``; ``add`` takes equal shapes only.
-        out = ad.linear(param([[1.0, 2.0], [3.0, 4.0]]), param(np.eye(2)), param([10.0, 20.0]))
-        assert np.array_equal(out.data, [[11.0, 22.0], [13.0, 24.0]])
+        # A bias rides in ``mlp``; ``add`` takes equal shapes only.
+        out = ad.mlp(param([[1.0, 2.0], [3.0, 4.0]]), param(np.eye(2)), param([10.0, 20.0]),
+                     param(np.eye(2)), param([0.5, 0.0]))
+        assert np.array_equal(out.data, [[11.5, 22.0], [13.5, 24.0]])
         with pytest.raises(ShapeError):
             ad.add(param([[1.0, 2.0], [3.0, 4.0]]), param([10.0, 20.0]))
 
@@ -94,7 +147,7 @@ def composed_pair_head(z, w1, b1, w2, c):
     """The head as the op chain it replaced: split, two linears, the four-operand head."""
     k = z.data.shape[1]
     w_origin, w_dest = ad.split(w1, [k, k], axis=1)
-    return four_operand_pair_head(ad.linear(z, w_origin, b1), ad.linear(z, w_dest), w2, c)
+    return four_operand_pair_head(linear(z, w_origin, b1), linear(z, w_dest), w2, c)
 
 
 def head_value_and_grads(head, data, live, g):
@@ -267,7 +320,179 @@ class TestMaskedMse:
         assert_bitwise_equal(grad, ref_grad)
 
 
+def decayed_update_chain(base, decay, update, rows=None):
+    """The memory update as the op chain it replaced."""
+    if rows is not None:
+        active = np.broadcast_to(rows[:, None], update.data.shape)
+        update = ad.mul(update, ad.constant(active))
+    return ad.add(ad.scale(base, decay), update)
+
+
+def head_mean_chain(a):
+    return ad.scale(ad.tensor_sum(a, axis=0), 1.0 / a.data.shape[0])
+
+
+def fuse_columns_chain(station, clusters, area, row_scale=None):
+    """Fusion's last step as the op chain it replaced: a row scale as a broadcast
+    constant, the area row spread by a ones column, and a concat."""
+    n = station.data.shape[0]
+    if row_scale is not None:
+        station = ad.mul(station, ad.constant(np.broadcast_to(row_scale[:, None],
+                                                              station.data.shape)))
+    from_area = ad.matmul(ad.constant(np.ones((n, 1))), area)
+    return ad.concat([station, clusters, from_area], axis=1)
+
+
+# Stage op -> (the op, the chain it replaced, a shape drawer, extra constant arguments).
+# A drawer maps sizes to operand shapes; extras map (rng, shapes) to the
+# keyword arguments that are not tensors.
+STAGE_OPS = {
+    "mlp": (ad.mlp, lambda x, w1, b1, w2, b2: linear(ad.relu(linear(x, w1, b1)), w2, b2),
+            lambda n, k, m, o, h: ((n, k), (m, k), (m,), (o, m), (o,))),
+    "bilinear": (ad.bilinear, lambda x, wx, y, wy: linear(linear(x, wx), linear(y, wy)),
+                 lambda n, k, m, o, h: ((n, k), (h, o, k), (m, k), (h, o, k))),
+    "head_project": (ad.head_project,
+                     lambda w, x, attn: merge_heads(batch_matmul(linear(w, x), attn)),
+                     lambda n, k, m, o, h: ((h, o, k), (n, k), (h, n, m))),
+    "decayed_update": (lambda base, update, decay=1.0, rows=None:
+                       ad.decayed_update(base, decay, update, rows),
+                       lambda base, update, decay=1.0, rows=None:
+                       decayed_update_chain(base, decay, update, rows),
+                       lambda n, k, m, o, h: ((n, k), (n, k))),
+    "head_mean": (ad.head_mean, head_mean_chain, lambda n, k, m, o, h: ((h, n, k),)),
+    "fuse_columns": (ad.fuse_columns, fuse_columns_chain,
+                     lambda n, k, m, o, h: ((n, k), (n, m), (1, o))),
+}
+
+
+def stage_extras(name, rng, shapes, masked):
+    """The constant, non-tensor arguments of a stage op."""
+    if name == "decayed_update":
+        rows = rng.integers(0, 2, size=shapes[0][0]).astype(float) if masked else None
+        return {"decay": float(rng.choice([1.0, 0.0, rng.uniform(0.0, 1.0)])), "rows": rows}
+    if name == "fuse_columns" and masked:
+        return {"row_scale": 1.0 / rng.uniform(1.0, 3.0, size=shapes[0][0])}
+    return {}
+
+
+def draw_operands(rng, shapes, integral):
+    """Normal draws, or small integers whose zeros carry random signs: exact zeros,
+    rectifier kinks and -0.0 products then occur, so the signs of zeros are tested."""
+    if not integral:
+        return [rng.normal(size=s) for s in shapes]
+    return [np.copysign(rng.integers(-2, 3, size=s), rng.choice([-1.0, 1.0], size=s))
+            for s in shapes]
+
+
+class TestStageOps:
+    @pytest.mark.parametrize("name", sorted(STAGE_OPS))
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.tuples(st.integers(1, 40), *[st.integers(1, 6)] * 4),
+           live=st.lists(st.booleans(), min_size=5, max_size=5), integral=st.booleans(),
+           masked=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_fused_op_is_bitwise_the_composition(self, name, sizes, live, integral, masked,
+                                                 seed):
+        op, chain, shapes_of = STAGE_OPS[name]
+        rng = np.random.default_rng(seed)
+        shapes = shapes_of(*sizes)
+        data = draw_operands(rng, shapes, integral)
+        live = live[:len(shapes)]
+        extras = stage_extras(name, rng, shapes, masked)
+        g_shape = op(*(ad.constant(x) for x in data), **extras).data.shape
+        g = draw_operands(rng, [g_shape], integral)[0]
+        out, grads = head_value_and_grads(lambda *t: op(*t, **extras), data, live, g)
+        ref_out, ref_grads = head_value_and_grads(lambda *t: chain(*t, **extras), data, live, g)
+        assert_bitwise_equal(out, ref_out)
+        for grad, ref in zip(grads, ref_grads):
+            assert (grad is None) == (ref is None)
+            if grad is not None:
+                assert_bitwise_equal(grad, ref)
+
+    @pytest.mark.parametrize("name", sorted(STAGE_OPS))
+    @pytest.mark.parametrize("masked", [False, True], ids=["plain", "constant-argument"])
+    def test_matches_central_differences(self, name, masked):
+        op, _, shapes_of = STAGE_OPS[name]
+        rng = np.random.default_rng(30)
+        shapes = shapes_of(4, 3, 5, 2, 3)
+        tensors = [param(x, f"operand{i}") for i, x in enumerate(draw_operands(rng, shapes, False))]
+        extras = stage_extras(name, rng, shapes, masked)
+        g = ad.constant(rng.normal(size=op(*tensors, **extras).data.shape))
+        report = fd_check(lambda: ad.tensor_sum(ad.mul(op(*tensors, **extras), g)),
+                          [(t.name, t) for t in tensors], tol=1e-6)
+        assert report.passed(), report.by_array()
+
+    @pytest.mark.parametrize("name, shapes", [
+        ("mlp", ((3,), (2, 3), (2,), (1, 2), (1,))),
+        ("mlp", ((4, 3), (2, 4), (2,), (1, 2), (1,))),
+        ("mlp", ((4, 3), (2, 3), (3,), (1, 2), (1,))),
+        ("mlp", ((4, 3), (2, 3), (2,), (1, 3), (1,))),
+        ("mlp", ((4, 3), (2, 3), (2,), (1, 2), (2,))),
+        ("bilinear", ((4, 3), (2, 5, 3), (6, 3), (2, 4, 3))),
+        ("bilinear", ((4, 3), (2, 5, 3), (6, 2), (2, 5, 3))),
+        ("bilinear", ((4, 3), (5, 3), (6, 3), (5, 3))),
+        ("head_project", ((2, 5, 3), (4, 3), (2, 5, 6))),
+        ("head_project", ((2, 5, 3), (4, 2), (2, 4, 6))),
+        ("head_project", ((5, 3), (4, 3), (2, 4, 6))),
+        ("decayed_update", ((4, 3), (4, 2))), ("fuse_columns", ((4, 3), (3, 2), (1, 2))),
+        ("fuse_columns", ((4, 3), (4, 2), (2, 2))), ("fuse_columns", ((4,), (4, 2), (1, 2)))],
+        ids=["mlp-vector-x", "mlp-w1-width", "mlp-b1-size", "mlp-w2-width", "mlp-b2-size",
+             "bilinear-head-width", "bilinear-y-width", "bilinear-no-heads",
+             "head-project-attn-rows", "head-project-x-width", "head-project-no-heads",
+             "decayed-update-shapes", "fuse-columns-cluster-rows", "fuse-columns-area-rows",
+             "fuse-columns-vector-station"])
+    def test_shape_error(self, name, shapes):
+        with pytest.raises(ShapeError):
+            STAGE_OPS[name][0](*(param(np.ones(s)) for s in shapes))
+
+    @pytest.mark.parametrize("rows, scale", [((3,), None), (None, (3,))],
+                             ids=["decayed-update-rows", "fuse-columns-row-scale"])
+    def test_constant_argument_shape_error(self, rows, scale):
+        with pytest.raises(ShapeError):
+            if rows is not None:
+                ad.decayed_update(param(np.ones((4, 2))), 0.5, param(np.ones((4, 2))),
+                                  rows=np.ones(rows))
+            else:
+                ad.fuse_columns(param(np.ones((4, 2))), param(np.ones((4, 1))),
+                                param(np.ones((1, 1))), row_scale=np.ones(scale))
+
+    def test_masked_rows_only_decay(self):
+        base, update = param([[2.0, -4.0], [1.0, 1.0]]), param([[5.0, -6.0], [7.0, 8.0]])
+        out = ad.decayed_update(base, 0.5, update, rows=np.array([0.0, 1.0]))
+        assert_bitwise_equal(out.data, np.array([[1.0, -2.0], [7.5, 8.5]]))
+        backward(ad.tensor_sum(out))
+        assert_bitwise_equal(update.grad, np.array([[0.0, 0.0], [1.0, 1.0]]))
+        assert np.array_equal(base.grad, [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_fused_area_row_is_repeated_with_positive_zeros(self):
+        out = ad.fuse_columns(param([[1.0], [2.0]]), param([[3.0], [4.0]]),
+                              param([[-0.0, -5.0]]), row_scale=np.array([0.5, 0.25]))
+        assert_bitwise_equal(out.data, np.array([[0.5, 3.0, 0.0, -5.0], [0.5, 4.0, 0.0, -5.0]]))
+
+    @pytest.mark.parametrize("name", sorted(STAGE_OPS))
+    def test_a_non_finite_forward_value_names_the_op(self, name):
+        op, _, shapes_of = STAGE_OPS[name]
+        shapes = shapes_of(2, 2, 2, 2, 2)
+        # Every operand 1e308: each product or sum of two overflows.
+        extras = {"row_scale": np.full(2, 1e308)} if name == "fuse_columns" else {}
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteValue, match=f"forward op {name}:"):
+            op(*(param(np.full(s, 1e308)) for s in shapes), **extras)
+
+    @pytest.mark.parametrize("name, big", [("mlp", 3), ("bilinear", 3), ("head_project", 2)])
+    def test_a_non_finite_gradient_inside_the_op_names_it(self, name, big):
+        # Operand ``big`` is 1e200 and the rest ones: the forward value stays finite,
+        # and so does the upstream gradient, but their product inside the VJP does not.
+        op, _, shapes_of = STAGE_OPS[name]
+        shapes = shapes_of(2, 2, 2, 2, 2)
+        out = op(*(param(np.full(s, 1e200 if i == big else 1.0)) for i, s in enumerate(shapes)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteValue, match=f"gradient in op {name}"):
+            out._vjp(np.full(out.data.shape, 1e200))
+
+
 class TestLinear:
+    """The reference ``linear`` that ``mlp``, ``bilinear`` and ``head_project`` replaced."""
+
     @pytest.mark.parametrize("x_shape, w_shape, out_shape", [
         ((4, 3), (2, 3), (4, 2)), ((4, 3), (5, 2, 3), (5, 4, 2)),
         ((5, 4, 3), (2, 3), (5, 4, 2)), ((5, 4, 3), (5, 2, 3), (5, 4, 2))],
@@ -275,7 +500,7 @@ class TestLinear:
     def test_forward_is_x_times_w_transposed_plus_bias(self, x_shape, w_shape, out_shape):
         rng = np.random.default_rng(20)
         x, w, b = (param(rng.normal(size=s)) for s in (x_shape, w_shape, (2,)))
-        out = ad.linear(x, w, b)
+        out = linear(x, w, b)
         assert out.data.shape == out_shape
         assert np.allclose(out.data, x.data @ np.swapaxes(w.data, -1, -2) + b.data,
                            rtol=1e-14, atol=1e-14)
@@ -287,7 +512,7 @@ class TestLinear:
     def test_shape_error(self, x_shape, w_shape, b_shape):
         b = None if b_shape is None else param(np.ones(b_shape))
         with pytest.raises(ShapeError):
-            ad.linear(param(np.ones(x_shape)), param(np.ones(w_shape)), b)
+            linear(param(np.ones(x_shape)), param(np.ones(w_shape)), b)
 
     @pytest.mark.parametrize("x_shape, w_shape, bias", [
         ((4, 3), (2, 3), False), ((4, 3), (2, 3), True), ((4, 3), (3, 2, 3), False),
@@ -301,46 +526,48 @@ class TestLinear:
         if bias:
             b = param(rng.normal(size=w_shape[-2]), "b")
             named.append(("b", b))
-        assert fd_check(lambda: ad.mean(ad.square(ad.linear(x, w, b))), named).passed()
+        assert fd_check(lambda: ad.mean(ad.square(linear(x, w, b))), named).passed()
 
     def test_constant_operands_get_no_product(self):
         rng = np.random.default_rng(22)
         x_data, w_data = rng.normal(size=(4, 3)), rng.normal(size=(2, 2, 3))
         g = np.ones((2, 4, 2))
-        gx, gw, gb = ad.linear(ad.constant(x_data), param(w_data), param(np.zeros(2)))._vjp(g)
+        gx, gw, gb = linear(ad.constant(x_data), param(w_data), param(np.zeros(2)))._vjp(g)
         assert gx is None and gw.shape == (2, 2, 3) and np.array_equal(gb, [8.0, 8.0])
-        gx, gw, gb = ad.linear(param(x_data), ad.constant(w_data))._vjp(g)
+        gx, gw, gb = linear(param(x_data), ad.constant(w_data))._vjp(g)
         assert gw is None and gb is None and gx.shape == (4, 3)
         w_ref = param(w_data)
-        backward(ad.tensor_sum(ad.square(ad.linear(param(x_data), w_ref))))
+        backward(ad.tensor_sum(ad.square(linear(param(x_data), w_ref))))
         w = param(w_data)
-        backward(ad.tensor_sum(ad.square(ad.linear(ad.constant(x_data), w))))
+        backward(ad.tensor_sum(ad.square(linear(ad.constant(x_data), w))))
         assert np.array_equal(w.grad, w_ref.grad)
 
 
 class TestHeads:
+    """The reference head ops ``head_project`` replaced, and views of stacked heads."""
+
     def test_batch_matmul_matches_central_differences(self):
         rng = np.random.default_rng(23)
         a, b = param(rng.normal(size=(3, 2, 4)), "a"), param(rng.normal(size=(3, 4, 5)), "b")
-        assert np.allclose(ad.batch_matmul(a, b).data, np.matmul(a.data, b.data))
-        assert fd_check(lambda: ad.mean(ad.square(ad.batch_matmul(a, b))),
+        assert np.allclose(batch_matmul(a, b).data, np.matmul(a.data, b.data))
+        assert fd_check(lambda: ad.mean(ad.square(batch_matmul(a, b))),
                         [("a", a), ("b", b)]).passed()
         with pytest.raises(ShapeError):
-            ad.batch_matmul(a, param(np.ones((2, 4, 5))))
+            batch_matmul(a, param(np.ones((2, 4, 5))))
 
     def test_merge_heads_places_head_blocks_side_by_side(self):
         a = param(np.arange(24.0).reshape(2, 3, 4))
-        out = ad.merge_heads(a).data
+        out = merge_heads(a).data
         assert out.shape == (4, 6)
         assert np.array_equal(out, np.concatenate([a.data[0].T, a.data[1].T], axis=1))
         with pytest.raises(ShapeError):
-            ad.merge_heads(param(np.ones((3, 4))))
+            merge_heads(param(np.ones((3, 4))))
 
     def test_merge_heads_matches_central_differences(self):
         rng = np.random.default_rng(24)
         a = param(rng.normal(size=(3, 2, 4)), "a")
         weights = ad.constant(rng.normal(size=(4, 6)))
-        assert fd_check(lambda: ad.mean(ad.square(ad.mul(ad.merge_heads(a), weights))),
+        assert fd_check(lambda: ad.mean(ad.square(ad.mul(merge_heads(a), weights))),
                         [("a", a)]).passed()
 
     def test_views_share_data_and_gradient_with_their_stack(self):

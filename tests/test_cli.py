@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odcast import checks
 from odcast.cli import COMMANDS, main, typed
 from odcast.errors import UsageError
 from odcast.synthesis import RateSegment
@@ -208,6 +209,14 @@ TRAIN_CONFIGS = {
     "tau-key-too-many-windows": {"tau": 1e-300},
 }
 SPLIT_FLAGS = ("--train-days", "--val-days", "--test-days")
+# Sizes whose arrays NumPy can never allocate: a missing ceiling fails at once.
+HUGE = "1000000000000000000"
+TOO_BIG = {
+    "dim": ["--dim", HUGE], "msg-dim": ["--msg-dim", HUGE],
+    "heads": ["--heads", HUGE, "--msg-dim", HUGE], "rel-dim": ["--rel-dim", HUGE],
+    "n-clusters": ["--n-clusters", HUGE],
+}
+TOO_BIG_ORACLE = {"events": "2" + HUGE[1:], "nodes": HUGE, "batches": "2" + HUGE[1:]}
 PROFILES = {
     "profile-not-a-list": {"profile": 5},
     "profile-unknown-segment-key": {"profile": [{"bogus": 1}]},
@@ -245,13 +254,23 @@ PROFILES = {
       "--catalog", "{catalog}", "--nodes", "0", "--out", "{tmp}/missing/reps.csv"], 1, "IoError"),
     (["export-relations", "--checkpoint", "{checkpoint}", "--events", "{events}",
       "--catalog", "{catalog}", "--out", "{tmp}/dim.json/relations"], 1, "IoError"),
+    *((["train", "--events", "{events}", "--catalog", "{catalog}", *flags], 2, "UsageError")
+      for flags in TOO_BIG.values()),
+    *((["oracle-check", f"--{key}", value], 2, "UsageError")
+      for key, value in TOO_BIG_ORACLE.items()),
 ], ids=["missing-events", "missing-catalog", "zero-heads", "tau-not-dividing-day",
         "node-out-of-range", "zero-cap", "non-integer-config-value", "t0-after-first-event",
         "non-utf8-events", *TRAIN_CONFIGS, "tau-flag-too-many-windows", *PROFILES,
         *(f"negative-{flag[2:]}" for flag in SPLIT_FLAGS), "grad-check-out-in-missing-dir",
-        "export-reps-out-in-missing-dir", "export-relations-out-under-a-file"])
-def test_bad_input_is_one_line_error(tmp_path, capsys, synth_dir, trained_dir, argv, code,
-                                     error):
+        "export-reps-out-in-missing-dir", "export-relations-out-under-a-file",
+        *(f"too-big-{key}" for key in TOO_BIG),
+        *(f"too-big-oracle-{key}" for key in TOO_BIG_ORACLE)])
+def test_bad_input_is_one_line_error(tmp_path, capsys, monkeypatch, synth_dir, trained_dir, argv,
+                                     code, error):
+    def never(**kwargs):  # grad-check reports an unwritable --out before its check runs
+        raise AssertionError("the gradient check ran")
+
+    monkeypatch.setattr(checks, "toy_gradient_check", never)
     (tmp_path / "dim.json").write_text(json.dumps({"dim": "abc"}))
     for name, config in {**TRAIN_CONFIGS, **PROFILES}.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))

@@ -250,12 +250,15 @@ def tape_op_count(root):
     return ops
 
 
-def test_a_training_window_records_at_most_40_ops():
-    # The criterion-7 model shape: 24 nodes, d = 32, 4 heads.
+def criterion7_model():
+    """The criterion-7 model shape: 24 nodes, d = 32, 4 heads."""
     hyper = HyperParams(n=24, dim=32, msg_dim=32, heads=4, tau=1800.0,
                         decay_rate=math.log(2.0) / 7200.0)
-    catalog = NodeCatalog(n=24)
-    params = init_params(hyper, 0)
+    return hyper, NodeCatalog(n=24), init_params(hyper, 0)
+
+
+def test_a_training_window_records_at_most_18_ops():
+    hyper, catalog, params = criterion7_model()
     bank = MemoryBank.initial(params, hyper, 0.0)
     rng = np.random.default_rng(13)
     truth = rng.poisson(0.5, size=(24, 24)).astype(float)
@@ -264,7 +267,29 @@ def test_a_training_window_records_at_most_40_ops():
         batch = random_batch(rng, hyper, 300, k * 1800.0, (k + 1) * 1800.0)
         result = step(bank, batch, params, hyper, catalog)
         loss = od_loss(predict_od(result.z, params).raw, truth)
-        assert tape_op_count(loss) <= 40
+        assert tape_op_count(loss) <= 18
+
+
+def test_a_serve_step_records_at_most_16_ops(monkeypatch):
+    # Every op records itself through ``_make``, reachable from z or not.
+    recorded = []
+
+    def counting_make(data, parents, vjp, op):
+        recorded.append(op)
+        return make(data, parents, vjp, op)
+
+    make = ad._make
+    monkeypatch.setattr(ad, "_make", counting_make)
+    hyper, catalog, params = criterion7_model()
+    bank = MemoryBank.initial(params, hyper, 0.0)
+    rng = np.random.default_rng(14)
+    for k in range(3):  # busy, idle, busy
+        batch = random_batch(rng, hyper, 300 * (k != 1), k * 1800.0, (k + 1) * 1800.0)
+        recorded.clear()
+        result = step(bank, batch, params, hyper, catalog)
+        assert len(recorded) <= 16, recorded
+        if len(batch):  # an idle step drops its messages, and with them their ops
+            assert tape_op_count(result.z) == len(recorded)
 
 
 class TestPredictOd:
