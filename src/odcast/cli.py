@@ -278,8 +278,9 @@ def cmd_predict(rc: RunConfig) -> int:
 
 def cmd_oracle_check(rc: RunConfig) -> int:
     n_events, n_nodes, n_batches = rc.get("events"), rc.get("nodes"), rc.get("batches")
-    _within_cells({"the event columns": (n_events,), "the flow matrix (nodes x nodes)":
-                   (n_nodes, n_nodes), "the window edges": (n_batches,)})
+    _within_cells({"the event columns": (n_events,),
+                   "the flow matrix (nodes x nodes)": (n_nodes, n_nodes),
+                   "the window edges": (n_batches,)})
     result = checks.oracle_equivalence_check(n_events=n_events, n_nodes=n_nodes,
                                              n_batches=n_batches, seed=rc.get("seed"))
     tol = rc.get("tol")
