@@ -283,33 +283,27 @@ def head_mean(a: Tensor) -> Tensor:
 
 
 def fuse_columns(station: Tensor, clusters: Tensor, area: Tensor,
-                 row_scale: np.ndarray | None = None) -> Tensor:
+                 row_scale: np.ndarray) -> Tensor:
     """``[station | clusters | area]`` side by side for ``station`` (n, d),
-    ``clusters`` (n, c) and ``area`` (1, e), the area row repeated on every row.
-    With a constant ``row_scale`` (n,), row i of the station block is scaled by
-    ``row_scale[i]``.  The area block is ``area + 0.0``, which turns -0.0 into
-    +0.0 exactly as a product with a column of ones does; the area's gradient,
-    a column sum, is taken as that product too, so it sums in BLAS's order.
+    ``clusters`` (n, c) and ``area`` (1, e), the area row repeated on every row,
+    with row i of the station block scaled by the constant ``row_scale[i]``.
+    The area block is ``area + 0.0``, which turns -0.0 into +0.0 exactly as a
+    product with a column of ones does; the area's gradient, a column sum, is
+    taken as that product too, so it sums in BLAS's order.
     """
     ss, cs, es = station.data.shape, clusters.data.shape, area.data.shape
     if (len(ss) != 2 or len(cs) != 2 or len(es) != 2 or cs[0] != ss[0] or es[0] != 1
-            or row_scale is not None and row_scale.shape != ss[:1]):
-        scale = "" if row_scale is None else f" scaled by {row_scale.shape}"
-        raise ShapeError(f"fuse_columns of {ss}{scale}, {cs} and {es}")
+            or row_scale.shape != ss[:1]):
+        raise ShapeError(f"fuse_columns of {ss} scaled by {row_scale.shape}, {cs} and {es}")
     (n, d), c, e = ss, cs[1], es[1]
-    column = None if row_scale is None else row_scale[:, None]
+    column = row_scale[:, None]
     out = np.empty((n, d + c + e))
-    if column is None:
-        out[:, :d] = station.data
-    else:
-        np.multiply(station.data, column, out=out[:, :d])
+    np.multiply(station.data, column, out=out[:, :d])
     out[:, d:d + c] = clusters.data
     np.add(area.data, 0.0, out=out[:, d + c:])
 
     def vjp(g: np.ndarray):
-        g_station = g[:, :d]
-        return (g_station if column is None else g_station * column,
-                g[:, d:d + c],
+        return (g[:, :d] * column, g[:, d:d + c],
                 np.ones((n, 1)).T @ g[:, d + c:] if area.requires_grad else None)
 
     return _make(out, (station, clusters, area), vjp, "fuse_columns")

@@ -243,6 +243,8 @@ def cmd_train(rc: RunConfig) -> int:
 def cmd_evaluate(rc: RunConfig) -> int:
     params, hyper, events, catalog = _load_model_stream(rc)
     splits = _splits_from(rc, hyper)
+    if splits.test_windows == 0:
+        raise UsageError(f"bad value for test_days: {rc.get('test_days')!r} holds no test window")
     out = Path(rc.get("out"))
     out.mkdir(parents=True, exist_ok=True)
 
@@ -386,7 +388,8 @@ COMMANDS = {
         "out": Key(str, None, "per-coordinate CSV report")}),
     "export-reps": (cmd_export_reps, "dump station representations per batch", {
         **COMMON, **STREAM, **CHECKPOINT,
-        "nodes": Key(lambda text: [int(x) for x in str(text).split(",") if x.strip()], None,
+        "nodes": Key(lambda v: [typed("nodes", int, x) for x in v] if isinstance(v, list)
+                     else [int(x) for x in str(v).split(",") if x.strip()], None,
                      "comma-separated node indices (unset: all)"),
         "out": Key(str, "representations.csv", "output CSV")}),
     "export-relations": (cmd_export_relations, "dump learned attention weights", {

@@ -36,18 +36,17 @@ class MetricReport:
     pcc_degenerate: bool = False
 
     def to_json_dict(self) -> dict:
-        return {"scope": self.scope, "mae": self.mae, "rmse": self.rmse,
+        mae, rmse = (x if math.isfinite(x) else None for x in (self.mae, self.rmse))
+        return {"scope": self.scope, "mae": mae, "rmse": rmse,
                 "pcc": self.pcc, "windows": self.windows, "cells": self.cells}
 
 
 def compute_metrics(preds: Sequence[np.ndarray], truths: Sequence[np.ndarray],
-                    scope: str = "all_pairs",
-                    demand_threshold: float | None = None) -> MetricReport:
+                    scope: str = "all_pairs") -> MetricReport:
     """Flatten prediction/truth sequences and compare.
 
     Scope ``above_average`` keeps only cells whose TRUE demand exceeds the
-    average demand over every cell of the truth sequence (or an explicit
-    ``demand_threshold``).
+    average demand over every cell of the truth sequence.
     """
     if len(preds) != len(truths):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(truths)} truths")
@@ -62,8 +61,7 @@ def compute_metrics(preds: Sequence[np.ndarray], truths: Sequence[np.ndarray],
     yhat = np.concatenate([np.asarray(p, dtype=float).ravel() for p in preds])
     y = np.concatenate([np.asarray(t, dtype=float).ravel() for t in truths])
     if scope == "above_average":
-        threshold = float(y.mean()) if demand_threshold is None else demand_threshold
-        keep = y > threshold
+        keep = y > y.mean()
         y, yhat = y[keep], yhat[keep]
 
     cells = y.size
@@ -284,16 +282,17 @@ def _actual_cells(actual) -> list[str]:
 
 
 def write_predictions_csv(predictions: Sequence[WindowPrediction], catalog: NodeCatalog,
-                          path, include_actual: bool = True) -> None:
+                          path) -> None:
     """Prediction dump: ``origin,destination,window_start,window_end,predicted,actual``.
 
+    The ``actual`` column is left out when any window has no actual matrix.
     Names are quoted where ``csv.writer`` would quote them.  ``predicted`` is
     fixed notation to six decimals (``format(x, ".6f")``), a millionth of a
     trip, so it does not round-trip the float64 forecast; window bounds and
     ``actual`` are written as ``repr`` writes them.  Each window's rows are
     filled into one ``%`` template per node count.
     """
-    include_actual = include_actual and all(p.actual is not None for p in predictions)
+    include_actual = all(p.actual is not None for p in predictions)
     # One row's conversions: the window bounds, predicted and (maybe) actual.
     row, stride = ("%s%.6f,%s\n", 3) if include_actual else ("%s%.6f\n", 2)
     templates: dict[int, str] = {}  # node count -> the rows of one window

@@ -24,7 +24,7 @@ import io
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -141,27 +141,15 @@ Events = EventStream | Sequence[TransactionEvent]
 
 @dataclass
 class NodeCatalog:
-    """Node count, optional external names, and per-node feature rows.
-
-    Features default to the N x N identity (one-hot encoding).
-    """
+    """Node count and optional external names.  A node's features are its
+    one-hot indicator, so the catalog stores none."""
 
     n: int
     names: tuple[str, ...] | None = None
-    features: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("catalog needs at least one node")
-        if self.features is None:
-            self.features = np.eye(self.n)
-        self.features = np.asarray(self.features, dtype=float)
-        if self.features.ndim != 2 or self.features.shape[0] != self.n:
-            raise ValueError(
-                f"features must have exactly {self.n} rows, got {self.features.shape}"
-            )
-        if self.features.shape[1] < 1:
-            raise ValueError("feature dimension must be >= 1")
         if self.names is not None:
             self.names = tuple(self.names)
             if len(self.names) != self.n:
@@ -171,10 +159,6 @@ class NodeCatalog:
                 raise ValueError("node names must be distinct")
         else:
             self._index = None
-
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
 
     def resolve(self, identifier: str) -> int:
         """Map an external identifier to a node index."""

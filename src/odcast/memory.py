@@ -36,10 +36,11 @@ DEFAULT_DECAY_RATE = math.log(2.0) / 3600.0
 
 @dataclass(frozen=True)
 class DecayConfig:
-    """Decay rate (1/seconds) and station memory dimension."""
+    """Decay rate (1/seconds), memory dimension, and decay weighting (off: no-mu)."""
 
     decay_rate: float = DEFAULT_DECAY_RATE
     dim: int = 256
+    weighted: bool = True
 
     def __post_init__(self):
         if self.decay_rate <= 0:
@@ -47,11 +48,11 @@ class DecayConfig:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
-    def factor(self, dt: float, weighted: bool = True) -> float:
+    def factor(self, dt: float) -> float:
         """Decay factor for a time advance of ``dt`` seconds."""
         if dt < 0:
             raise TimeRegression(f"negative time advance {dt}")
-        return math.exp(-self.decay_rate * dt) if weighted else 1.0
+        return math.exp(-self.decay_rate * dt) if self.weighted else 1.0
 
 
 @dataclass
@@ -95,28 +96,28 @@ class StationMessages:
 
 def aggregate_messages(batch: EventBatch, reps: np.ndarray, catalog: NodeCatalog,
                        cfg: DecayConfig, include_features: bool = True,
-                       include_role: bool = True, weighted: bool = True) -> StationMessages:
+                       include_role: bool = True) -> StationMessages:
     """Fold a batch of events into per-station messages.
 
     For station i, ``p_i`` sums ``w_k * s_k`` over the batch incidences
     touching i (both endpoints of every event), with weight
     ``w_k = exp(-decay_rate * (window_end - t_k))``, and ``q_i`` sums the
-    weights alone.  Untouched stations get (p=0, q=0).  With
-    ``weighted=False`` every weight is 1 (plain sums).
+    weights alone.  Untouched stations get (p=0, q=0).  Under
+    ``cfg.weighted=False`` every weight is 1 (plain sums).
 
     All of it is algebra on the batch's decayed flow matrix ``F``, whose
     entry ``F[i, j]`` sums the weights of the batch's i->j trips.  With
-    ``S = F + F^T``, ``p = [S @ reps | S @ features | F 1 - F^T 1]`` and
-    ``q = S 1``: the message is the decayed flow matrix times the node states.
+    ``S = F + F^T``, ``p = [S @ reps | S | F 1 - F^T 1]`` and ``q = S 1``: the
+    message is the decayed flow matrix times the node states, whose one-hot
+    features make the middle block ``S @ I = S``.
     """
-    n = reps.shape[0]
-    origins, dests, times = batch.events.origins, batch.events.destinations, batch.events.times
-    w = np.exp(-cfg.decay_rate * (batch.window_end - times)) if weighted else np.ones(len(times))
-    flows = np.bincount(origins * n + dests, weights=w, minlength=n * n).reshape(n, n)
+    n, ev = catalog.n, batch.events
+    w = np.exp(cfg.decay_rate * (ev.times - batch.window_end)) if cfg.weighted else np.ones(len(ev))
+    flows = np.bincount(ev.origins * n + ev.destinations, weights=w, minlength=n * n).reshape(n, n)
     seen = flows + flows.T
     parts = [seen @ reps]
     if include_features:
-        parts.append(seen @ catalog.features)
+        parts.append(seen)
     if include_role:
         # Outgoing trips carry role +1, incoming trips -1.
         parts.append((flows.sum(axis=1) - flows.sum(axis=0))[:, None])
@@ -124,28 +125,28 @@ def aggregate_messages(batch: EventBatch, reps: np.ndarray, catalog: NodeCatalog
 
 
 def update_stations(a: np.ndarray, b: np.ndarray, update: Tensor, q: np.ndarray, dt: float,
-                    cfg: DecayConfig, weighted: bool = True) -> tuple[Tensor, np.ndarray]:
+                    cfg: DecayConfig) -> tuple[Tensor, np.ndarray]:
     """Advance every station memory by ``dt`` seconds and fold in a batch.
 
     Row by row, ``a' = decay * a + [q > 0] * update`` and
-    ``b' = decay * b + q`` with ``decay = exp(-decay_rate * dt)``, where
+    ``b' = decay * b + q`` with ``decay = cfg.factor(dt)``, where
     ``update`` is the update map applied to the batch messages ``p``.  Idle
     stations (``q == 0``) only decay: feeding the zero message through the
     map would leak its learned bias into every idle station each batch.
     ``a'`` is returned on the tape so gradients reach the update map.
     """
-    decay = cfg.factor(dt, weighted)
+    decay = cfg.factor(dt)
     a_new = ad.decayed_update(ad.constant(a), decay, update, rows=(q > 0.0).astype(float))
     return a_new, decay * b + q
 
 
 def update_station_memory(mem: StationMemory, msg: StationMessage, t: float,
                           update_mlp: Callable[[np.ndarray], np.ndarray],
-                          cfg: DecayConfig, weighted: bool = True) -> StationMemory:
+                          cfg: DecayConfig) -> StationMemory:
     """Advance one station memory to time ``t`` through :func:`update_stations`."""
     update = ad.constant(np.asarray(update_mlp(msg.p), dtype=float)[None, :])
     a, b = update_stations(mem.a[None, :], np.array([mem.b]), update, np.array([msg.q]),
-                           t - mem.last_update, cfg, weighted)
+                           t - mem.last_update, cfg)
     return StationMemory(a=a.data[0], b=float(b[0]), last_update=t)
 
 

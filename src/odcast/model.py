@@ -29,11 +29,8 @@ from .multilevel import (AttentionWeights, LevelState, RelationTensors, compute_
 
 @dataclass(frozen=True)
 class HyperParams:
-    """All structural and ablation knobs.
-
-    ``rel_dim`` defaults to dim/heads, ``n_clusters`` to ceil(sqrt(n)), and
-    ``feat_dim`` to n (one-hot node features).
-    """
+    """All structural and ablation knobs.  ``rel_dim`` defaults to dim/heads and
+    ``n_clusters`` to ceil(sqrt(n))."""
 
     n: int
     dim: int = 256
@@ -41,7 +38,6 @@ class HyperParams:
     heads: int = 8
     rel_dim: int | None = None
     n_clusters: int | None = None
-    feat_dim: int | None = None
     tau: float = 1800.0
     decay_rate: float = DEFAULT_DECAY_RATE
     relation_scale: bool = False
@@ -56,8 +52,6 @@ class HyperParams:
             object.__setattr__(self, "rel_dim", max(1, self.dim // self.heads))
         if self.n_clusters is None:
             object.__setattr__(self, "n_clusters", math.ceil(math.sqrt(self.n)))
-        if self.feat_dim is None:
-            object.__setattr__(self, "feat_dim", self.n)
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         if self.msg_dim % self.heads != 0:
@@ -67,16 +61,13 @@ class HyperParams:
 
     @property
     def station_msg_dim(self) -> int:
-        """d_s: event representations are [r_other ; F_other ; role]."""
-        return self.dim + self.feat_dim + 1
+        """d_s: event representations are [r_other ; one-hot other ; role]."""
+        return self.dim + self.n + 1
 
     @property
     def decay_config(self) -> DecayConfig:
-        return DecayConfig(decay_rate=self.decay_rate, dim=self.dim)
-
-    @property
-    def weighted(self) -> bool:
-        return not self.no_weighted_update
+        return DecayConfig(decay_rate=self.decay_rate, dim=self.dim,
+                           weighted=not self.no_weighted_update)
 
 
 @dataclass
@@ -245,19 +236,16 @@ def step(bank: MemoryBank, batch: EventBatch, params: ModelParams, hyper: HyperP
         raise TimeRegression(
             f"batch starts at {batch.window_start}, bank already at {bank.last_update}"
         )
-    if catalog.n != hyper.n or catalog.feature_dim != hyper.feat_dim:
-        raise DimensionMismatch(
-            f"catalog ({catalog.n} nodes, {catalog.feature_dim} features) does not match "
-            f"hyperparameters ({hyper.n}, {hyper.feat_dim})"
-        )
+    if catalog.n != hyper.n:
+        raise DimensionMismatch(f"catalog has {catalog.n} nodes, hyperparameters {hyper.n}")
     t = batch.window_end
     cfg = hyper.decay_config
     reps_prev = bank.station_reps()
 
-    msgs = aggregate_messages(batch, reps_prev, catalog, cfg, weighted=hyper.weighted)
+    msgs = aggregate_messages(batch, reps_prev, catalog, cfg)
     a_new, b_new = update_stations(bank.station_a, bank.station_b,
                                    params.station_mlp(ad.constant(msgs.p)), msgs.q,
-                                   t - bank.last_update, cfg, hyper.weighted)
+                                   t - bank.last_update, cfg)
     inv_b = 1.0 / b_new  # the station block of z is a_new / b_new, row by row
 
     if hyper.no_multilevel:
@@ -270,12 +258,12 @@ def step(bank: MemoryBank, batch: EventBatch, params: ModelParams, hyper: HyperP
             ad.constant(reps_prev), bank.levels.cluster_mem, bank.levels.area_mem,
             params.attention, scale_logits=hyper.relation_scale,
         )
-        cluster_msgs = project_cluster_messages(relations, msgs, params.w_c3)
-        area_msg = project_area_message(relations, cluster_msgs, params.w_g3)
-        new_levels = update_level_memories(
-            bank.levels, cluster_msgs, area_msg, t, params.cluster_mlp, params.area_mlp,
-            cfg, weighted=hyper.weighted, suppress_update=(len(batch) == 0),
-        )
+        cluster_msgs = area_msg = None  # an idle step only decays the level memories
+        if len(batch):
+            cluster_msgs = project_cluster_messages(relations, msgs, params.w_c3)
+            area_msg = project_area_message(relations, cluster_msgs, params.w_g3)
+        new_levels = update_level_memories(bank.levels, cluster_msgs, area_msg, t,
+                                           params.cluster_mlp, params.area_mlp, cfg)
         z = fuse(a_new, new_levels, relations, row_scale=inv_b)
 
     bank.station_a = a_new.data

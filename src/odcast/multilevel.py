@@ -157,20 +157,18 @@ def project_area_message(relations: RelationTensors, cluster_msgs: Tensor,
     return ad.head_project(w_g3, cluster_msgs, relations.agm)
 
 
-def update_level_memories(state: LevelState, cluster_msgs: Tensor, area_msg: Tensor,
+def update_level_memories(state: LevelState, cluster_msgs: Tensor | None, area_msg: Tensor | None,
                           t: float, cluster_mlp: Callable[[Tensor], Tensor],
-                          area_mlp: Callable[[Tensor], Tensor], cfg: DecayConfig,
-                          weighted: bool = True, suppress_update: bool = False) -> LevelState:
+                          area_mlp: Callable[[Tensor], Tensor], cfg: DecayConfig) -> LevelState:
     """Decay cluster/area memories to time ``t`` and add mapped messages.
 
-    There is no ``b`` normalizer at these levels.  ``suppress_update`` skips
-    the message terms entirely; it is set when the batch carried no events,
-    so idle decay cannot pick up the update maps' biases.
+    There is no ``b`` normalizer at these levels.  A batch with no events has
+    no messages (both None): its memories only decay, so idle decay cannot
+    pick up the update maps' biases.
     """
-    dt = t - state.last_update
-    decay = cfg.factor(dt, weighted)
+    decay = cfg.factor(t - state.last_update)
     cluster, area = ad.as_tensor(state.cluster_mem), ad.as_tensor(state.area_mem)
-    if suppress_update:
+    if cluster_msgs is None:
         cluster, area = ad.scale(cluster, decay), ad.scale(area, decay)
     else:
         cluster = ad.decayed_update(cluster, decay, cluster_mlp(cluster_msgs))
@@ -179,16 +177,16 @@ def update_level_memories(state: LevelState, cluster_msgs: Tensor, area_msg: Ten
 
 
 def fuse(station_reps, state: LevelState, relations: RelationTensors,
-         row_scale: np.ndarray | None = None) -> Tensor:
+         row_scale: np.ndarray) -> Tensor:
     """Concatenate station representations with their level memories.
 
     The cluster block reuses the relation logits, row-normalized so each
     station takes a convex combination of cluster memories per head,
     averaged over heads.  The area block is the area memory on every row: a
     station reaches the single area node through its clusters, whose weights
-    sum to 1 and whose cluster-to-area weights are all 1.  With ``row_scale``
-    given, row i of ``station_reps`` is scaled by ``row_scale[i]`` first;
-    the model passes the station accumulators ``a`` with ``1/b``.
+    sum to 1 and whose cluster-to-area weights are all 1.  Row i of
+    ``station_reps`` is scaled by ``row_scale[i]`` first: the model passes
+    the station accumulators ``a`` with ``1/b``.
     """
     station = ad.as_tensor(station_reps)
     cluster_mem = ad.as_tensor(state.cluster_mem)

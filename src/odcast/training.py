@@ -162,8 +162,8 @@ class TrainConfig:
     t0: float | None = None
 
     def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        if self.max_epochs < 1 or self.patience < 1:
+            raise ValueError("max_epochs and patience must be >= 1")
 
 
 @dataclass
@@ -328,8 +328,11 @@ def _read_manifest(raw: bytes) -> tuple[HyperParams, AdamState | None, list]:
     try:
         manifest = json.loads(raw.decode("utf-8"))
         shapes = [(str(name), [int(s) for s in shape]) for name, shape in manifest["arrays"]]
-        # Checkpoints from before the unused ``cap`` field was dropped still carry it.
-        hyper = HyperParams(**{k: v for k, v in manifest["hyper"].items() if k != "cap"})
+        # Older checkpoints carry the dropped ``cap`` and ``feat_dim``, which was always n.
+        stored = {k: v for k, v in manifest["hyper"].items() if k != "cap"}
+        if stored.pop("feat_dim", stored.get("n")) != stored.get("n"):
+            raise VersionMismatch("checkpoint has node features other than one-hot")
+        hyper = HyperParams(**stored)
         meta = manifest["adam"]
         opt = None if meta is None else AdamState(
             lr=float(meta["lr"]), beta1=float(meta["beta1"]), beta2=float(meta["beta2"]),

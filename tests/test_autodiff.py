@@ -332,13 +332,12 @@ def head_mean_chain(a):
     return ad.scale(ad.tensor_sum(a, axis=0), 1.0 / a.data.shape[0])
 
 
-def fuse_columns_chain(station, clusters, area, row_scale=None):
+def fuse_columns_chain(station, clusters, area, row_scale):
     """Fusion's last step as the op chain it replaced: a row scale as a broadcast
     constant, the area row spread by a ones column, and a concat."""
     n = station.data.shape[0]
-    if row_scale is not None:
-        station = ad.mul(station, ad.constant(np.broadcast_to(row_scale[:, None],
-                                                              station.data.shape)))
+    station = ad.mul(station, ad.constant(np.broadcast_to(row_scale[:, None],
+                                                          station.data.shape)))
     from_area = ad.matmul(ad.constant(np.ones((n, 1))), area)
     return ad.concat([station, clusters, from_area], axis=1)
 
@@ -370,8 +369,9 @@ def stage_extras(name, rng, shapes, masked):
     if name == "decayed_update":
         rows = rng.integers(0, 2, size=shapes[0][0]).astype(float) if masked else None
         return {"decay": float(rng.choice([1.0, 0.0, rng.uniform(0.0, 1.0)])), "rows": rows}
-    if name == "fuse_columns" and masked:
-        return {"row_scale": 1.0 / rng.uniform(1.0, 3.0, size=shapes[0][0])}
+    if name == "fuse_columns":  # unmasked: every b is 1, as at a reset
+        n = shapes[0][0]
+        return {"row_scale": 1.0 / rng.uniform(1.0, 3.0, size=n) if masked else np.ones(n)}
     return {}
 
 
@@ -441,8 +441,9 @@ class TestStageOps:
              "decayed-update-shapes", "fuse-columns-cluster-rows", "fuse-columns-area-rows",
              "fuse-columns-vector-station"])
     def test_shape_error(self, name, shapes):
+        extras = {"row_scale": np.ones(shapes[0][0])} if name == "fuse_columns" else {}
         with pytest.raises(ShapeError):
-            STAGE_OPS[name][0](*(param(np.ones(s)) for s in shapes))
+            STAGE_OPS[name][0](*(param(np.ones(s)) for s in shapes), **extras)
 
     @pytest.mark.parametrize("rows, scale", [((3,), None), (None, (3,))],
                              ids=["decayed-update-rows", "fuse-columns-row-scale"])

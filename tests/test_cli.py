@@ -17,6 +17,13 @@ def run(*argv):
     return main(list(argv))
 
 
+def strict_json(text):
+    """``json.loads`` that rejects NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("stream")
@@ -77,7 +84,7 @@ class TestTrainEvaluatePredict:
                    "--train-days", "1.0", "--val-days", "0.5", "--test-days", "0.5",
                    "--out", str(out))
         assert code == 0
-        report = json.loads((out / "report.json").read_text())
+        report = strict_json((out / "report.json").read_text())
         assert set(report) == {"all_pairs", "above_average", "config_hash"}
         assert set(report["all_pairs"]) == {"scope", "mae", "rmse", "pcc", "windows",
                                             "cells"}
@@ -94,6 +101,22 @@ class TestTrainEvaluatePredict:
                    "--out", str(out))
         assert code == 0
         assert out.exists()
+
+    def test_empty_above_average_scope_is_null(self, tmp_path, synth_dir, trained_dir):
+        # The test windows hold no trips, so no cell is above the average demand.
+        lines = (synth_dir / "events.csv").read_text().splitlines()
+        t_cut = float(lines[1].split(",")[2]) + 1.25 * 86400
+        events = tmp_path / "events.csv"
+        events.write_text("\n".join(line for line in lines
+                                    if line == lines[0] or float(line.split(",")[2]) < t_cut))
+        assert run("evaluate", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                   "--events", str(events), "--catalog", str(synth_dir / "catalog.csv"),
+                   "--train-days", "1.0", "--val-days", "0.5", "--test-days", "0.5",
+                   "--out", str(tmp_path / "eval")) == 0
+        report = strict_json((tmp_path / "eval" / "report.json").read_text())
+        assert report["above_average"]["cells"] == 0
+        assert report["above_average"]["mae"] is None and report["above_average"]["rmse"] is None
+        assert report["all_pairs"]["mae"] is not None
 
     def test_evaluate_without_checkpoint_is_usage_error(self, synth_dir):
         assert run("evaluate", "--events", str(synth_dir / "events.csv")) == 2
@@ -126,6 +149,17 @@ class TestExports:
         assert lines[0] == "timestamp,node,dim,value"
         # Files parse as plain floats (no numpy reprs).
         float(lines[1].split(",")[3])
+
+    @pytest.mark.parametrize("nodes", [[0, 2], "0,2"], ids=["json-list", "comma-string"])
+    def test_export_reps_nodes_from_config(self, tmp_path, synth_dir, trained_dir, nodes):
+        args = ["export-reps", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                "--events", str(synth_dir / "events.csv"),
+                "--catalog", str(synth_dir / "catalog.csv")]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"nodes": nodes}))
+        assert run(*args, "--config", str(config), "--out", str(tmp_path / "file.csv")) == 0
+        assert run(*args, "--nodes", "0,2", "--out", str(tmp_path / "flag.csv")) == 0
+        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
 
     def test_export_relations(self, tmp_path, synth_dir, trained_dir):
         out = tmp_path / "relations"
@@ -217,6 +251,8 @@ TOO_BIG = {
     "n-clusters": ["--n-clusters", HUGE],
 }
 TOO_BIG_ORACLE = {"events": "2" + HUGE[1:], "nodes": HUGE, "batches": "2" + HUGE[1:]}
+NODE_LISTS = {"nodes-bool-entry": {"nodes": [0, True]}, "nodes-fractional-entry": {"nodes": [1.5]},
+              "nodes-string-entry": {"nodes": ["0"]}}
 PROFILES = {
     "profile-not-a-list": {"profile": 5},
     "profile-unknown-segment-key": {"profile": [{"bogus": 1}]},
@@ -258,13 +294,22 @@ PROFILES = {
       for flags in TOO_BIG.values()),
     *((["oracle-check", f"--{key}", value], 2, "UsageError")
       for key, value in TOO_BIG_ORACLE.items()),
+    (["train", "--events", "{events}", "--catalog", "{catalog}", "--epochs", "0"], 2,
+     "UsageError"),
+    (["evaluate", "--checkpoint", "{checkpoint}", "--events", "{events}", "--catalog",
+      "{catalog}", "--train-days", "1.0", "--val-days", "0.5", "--test-days", "0",
+      "--out", "{tmp}/eval"], 2, "UsageError"),
+    *((["export-reps", "--checkpoint", "{checkpoint}", "--events", "{events}", "--catalog",
+        "{catalog}", "--config", f"{{tmp}}/{name}.json", "--out", "{tmp}/reps.csv"], 2,
+       "UsageError") for name in NODE_LISTS),
 ], ids=["missing-events", "missing-catalog", "zero-heads", "tau-not-dividing-day",
         "node-out-of-range", "zero-cap", "non-integer-config-value", "t0-after-first-event",
         "non-utf8-events", *TRAIN_CONFIGS, "tau-flag-too-many-windows", *PROFILES,
         *(f"negative-{flag[2:]}" for flag in SPLIT_FLAGS), "grad-check-out-in-missing-dir",
         "export-reps-out-in-missing-dir", "export-relations-out-under-a-file",
         *(f"too-big-{key}" for key in TOO_BIG),
-        *(f"too-big-oracle-{key}" for key in TOO_BIG_ORACLE)])
+        *(f"too-big-oracle-{key}" for key in TOO_BIG_ORACLE), "zero-epochs",
+        "evaluate-zero-test-windows", *NODE_LISTS])
 def test_bad_input_is_one_line_error(tmp_path, capsys, monkeypatch, synth_dir, trained_dir, argv,
                                      code, error):
     def never(**kwargs):  # grad-check reports an unwritable --out before its check runs
@@ -272,7 +317,7 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, monkeypatch, synth_dir, t
 
     monkeypatch.setattr(checks, "toy_gradient_check", never)
     (tmp_path / "dim.json").write_text(json.dumps({"dim": "abc"}))
-    for name, config in {**TRAIN_CONFIGS, **PROFILES}.items():
+    for name, config in {**TRAIN_CONFIGS, **PROFILES, **NODE_LISTS}.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     (tmp_path / "latin1.csv").write_bytes(b"origin,destination,timestamp\n0,1,1.0\n\xe9,1,2.0\n")
     paths = {"tmp": tmp_path, "events": synth_dir / "events.csv",

@@ -249,11 +249,11 @@ class TestPredictWalk:
         hyper, params, _ = tiny_model()
         catalog = NodeCatalog(n=3, names=names)
         preds = predict_walk(params, tiny_stream(3, 4, seed=6), catalog, hyper, t0=0.0,
-                             until=240.0, cap=1)
+                             until=240.0, cap=1, with_actual=include_actual)
         preds[0].predicted[0, 1] = -0.0
         preds[1].predicted[2, 2] = 1e-300
         path, ref = tmp_path / "pred.csv", tmp_path / "ref.csv"
-        write_predictions_csv(preds, catalog, path, include_actual=include_actual)
+        write_predictions_csv(preds, catalog, path)
         with open(ref, "w", encoding="utf-8", newline="") as fh:
             fh.write("origin,destination,window_start,window_end,predicted"
                      + (",actual\n" if include_actual else "\n"))
@@ -301,8 +301,10 @@ class TestPredictWalk:
                                   np.array(data.draw(st.lists(actual, min_size=n * n,
                                                               max_size=n * n))).reshape(n, n))
                  for _ in range(data.draw(st.integers(1, 3)))]
+        if not include_actual:  # one window without actuals drops the column
+            preds[data.draw(st.integers(0, len(preds) - 1))].actual = None
         path = tmp_path_factory.mktemp("dump") / "pred.csv"
-        write_predictions_csv(preds, catalog, path, include_actual=include_actual)
+        write_predictions_csv(preds, catalog, path)
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh, strict=True))
         assert rows[0][-1] == ("actual" if include_actual else "predicted")

@@ -19,6 +19,7 @@ from odcast.events import (EVENT_HEADER, EventBatch, EventStream, NodeCatalog, T
                            batch_by_cap, batch_by_window, build_od_matrix, default_t0,
                            load_catalog, od_matrix_series, parse_events, write_catalog_csv,
                            write_events_csv)
+from odcast.memory import DecayConfig, aggregate_messages
 
 
 def ev(o, d, t):
@@ -664,8 +665,11 @@ class TestCatalogFiles:
                 assert (Path(tmp) / f"{kind}.csv").read_bytes() == expected[kind]
 
     def test_features_default_one_hot(self):
-        catalog = NodeCatalog(n=3)
-        assert np.array_equal(catalog.features, np.eye(3))
+        # Each endpoint's message carries the other endpoint's indicator row.
+        batch = EventBatch(EventStream([0], [2], [5.0]), 0.0, 5.0)
+        msgs = aggregate_messages(batch, np.zeros((3, 1)), NodeCatalog(n=3), DecayConfig(dim=1),
+                                  include_role=False)
+        assert np.array_equal(msgs.p[:, 1:], [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
 
     def test_duplicate_catalog_name_is_malformed_at_its_second_line(self):
         with pytest.raises(MalformedRow, match="^line 4: duplicate catalog name 'A'$"):

@@ -73,15 +73,15 @@ class TestAggregateMessages:
                                            include_role):
         n, reps, events = case
         catalog = NodeCatalog(n=n)
-        cfg = DecayConfig(decay_rate=1.0 / 40.0, dim=reps.shape[1])
+        cfg = DecayConfig(decay_rate=1.0 / 40.0, dim=reps.shape[1], weighted=weighted)
         batch = EventBatch(events, 0.0, 120.0)
         msgs = aggregate_messages(batch, reps, catalog, cfg, include_features=include_features,
-                                  include_role=include_role, weighted=weighted)
+                                  include_role=include_role)
 
         def incidence(other, role):
             parts = [reps[other]]
             if include_features:
-                parts.append(catalog.features[other])
+                parts.append(np.eye(n)[other])
             if include_role:
                 parts.append([role])
             return np.concatenate(parts)
@@ -101,9 +101,9 @@ class TestAggregateMessages:
 
     def test_unweighted_counts(self):
         catalog = NodeCatalog(n=2)
-        cfg = DecayConfig(decay_rate=0.1, dim=1)
+        cfg = DecayConfig(decay_rate=0.1, dim=1, weighted=False)
         batch = EventBatch((ev(0, 1, 0.0), ev(0, 1, 10.0)), 0.0, 30.0)
-        msgs = aggregate_messages(batch, np.zeros((2, 1)), catalog, cfg, weighted=False)
+        msgs = aggregate_messages(batch, np.zeros((2, 1)), catalog, cfg)
         assert msgs.q[0] == 2.0 and msgs.q[1] == 2.0
 
 

@@ -90,8 +90,8 @@ class TestStepPipeline:
 
         lam = hyper.decay_rate
         w = math.exp(-lam * (t_end - t_event))
-        s_origin = np.concatenate([reps_prev[1], catalog.features[1], [1.0]])
-        s_dest = np.concatenate([reps_prev[0], catalog.features[0], [-1.0]])
+        s_origin = np.concatenate([reps_prev[1], np.eye(2)[1], [1.0]])
+        s_dest = np.concatenate([reps_prev[0], np.eye(2)[0], [-1.0]])
         p = np.stack([w * s_origin, w * s_dest])
         q = np.array([w, w])
 
@@ -238,9 +238,9 @@ class TestStepPipeline:
         assert np.abs(grad_of(params.cluster_mem0)).max() == 0.0
 
 
-def tape_op_count(root):
-    """Op nodes (not leaves or constants) reachable from ``root`` through the tape."""
-    seen, stack, ops = set(), [root], 0
+def tape_op_count(*roots):
+    """Op nodes (not leaves or constants) reachable from ``roots`` through the tape."""
+    seen, stack, ops = set(), list(roots), 0
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -288,8 +288,11 @@ def test_a_serve_step_records_at_most_16_ops(monkeypatch):
         recorded.clear()
         result = step(bank, batch, params, hyper, catalog)
         assert len(recorded) <= 16, recorded
-        if len(batch):  # an idle step drops its messages, and with them their ops
-            assert tape_op_count(result.z) == len(recorded)
+        rel = result.relations
+        # An idle step builds no messages; it still serves its relations.
+        roots = (result.z,) if len(batch) else (result.z, rel.ac, rel.ag, rel.acm, rel.agm, rel.ace)
+        assert tape_op_count(*roots) == len(recorded), recorded
+        assert ("head_project" in recorded) == bool(len(batch))
 
 
 class TestPredictOd:

@@ -176,20 +176,14 @@ class TestLevelUpdates:
     def test_suppressed_idle_is_identity_at_dt_zero(self):
         cfg = DecayConfig(decay_rate=0.1, dim=2)
         state = LevelState(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]), 5.0)
-        out = update_level_memories(state, ad.constant(np.zeros((1, 2))),
-                                    ad.constant(np.zeros((1, 2))), 5.0,
-                                    zero_free_mlp(), zero_free_mlp(), cfg,
-                                    suppress_update=True)
+        out = update_level_memories(state, None, None, 5.0, zero_free_mlp(), zero_free_mlp(), cfg)
         assert np.array_equal(out.cluster_array(), state.cluster_mem)
         assert np.array_equal(out.area_array(), state.area_mem)
 
     def test_pure_decay_halves_at_half_life(self):
         cfg = DecayConfig(decay_rate=math.log(2.0) / 30.0, dim=2)
         state = LevelState(np.array([[2.0, -4.0]]), np.array([[8.0, 0.5]]), 0.0)
-        out = update_level_memories(state, ad.constant(np.zeros((1, 2))),
-                                    ad.constant(np.zeros((1, 2))), 30.0,
-                                    zero_free_mlp(), zero_free_mlp(), cfg,
-                                    suppress_update=True)
+        out = update_level_memories(state, None, None, 30.0, zero_free_mlp(), zero_free_mlp(), cfg)
         assert np.allclose(out.cluster_array(), [[1.0, -2.0]])
         assert np.allclose(out.area_array(), [[4.0, 0.25]])
 
@@ -214,12 +208,9 @@ class TestLevelUpdates:
         assert np.allclose(out.area_array(), decay * area0 + amsg + shift, rtol=1e-12)
 
     def test_unweighted_skips_decay(self):
-        cfg = DecayConfig(decay_rate=0.5, dim=1)
+        cfg = DecayConfig(decay_rate=0.5, dim=1, weighted=False)
         state = LevelState(np.array([[3.0]]), np.array([[5.0]]), 0.0)
-        out = update_level_memories(state, ad.constant(np.zeros((1, 1))),
-                                    ad.constant(np.zeros((1, 1))), 100.0,
-                                    zero_free_mlp(), zero_free_mlp(), cfg,
-                                    weighted=False, suppress_update=True)
+        out = update_level_memories(state, None, None, 100.0, zero_free_mlp(), zero_free_mlp(), cfg)
         assert np.array_equal(out.cluster_array(), [[3.0]])
 
     def test_time_regression(self):
@@ -240,7 +231,7 @@ class TestFuse:
         cluster_mem = rng.normal(size=(1, d))
         area_mem = rng.normal(size=(1, d))
         state = LevelState(cluster_mem, area_mem, 0.0)
-        z = fuse(station, state, rel).data
+        z = fuse(station, state, rel, np.ones(n)).data
         for i in range(n):
             assert np.max(np.abs(z[i, d:2 * d] - cluster_mem[0])) <= 1e-12
             assert np.max(np.abs(z[i, 2 * d:] - area_mem[0])) <= 1e-12
@@ -250,7 +241,7 @@ class TestFuse:
         station, cluster, area, attn = random_setup(rng, n=3, n_c=2, d=3)
         rel = compute_relations(station, cluster, area, attn)
         state = LevelState(np.zeros((2, 3)), np.zeros((1, 3)), 0.0)
-        z = fuse(station, state, rel).data
+        z = fuse(station, state, rel, np.ones(len(station))).data
         assert np.array_equal(z[:, :3], station)
         assert not z[:, 3:].any()
 
@@ -261,7 +252,7 @@ class TestFuse:
         rel = compute_relations(station, cluster, area, attn)
         cluster_mem = rng.normal(size=(n_c, d))
         area_mem = rng.normal(size=(1, d))
-        z = fuse(station, LevelState(cluster_mem, area_mem, 0.0), rel).data
+        z = fuse(station, LevelState(cluster_mem, area_mem, 0.0), rel, np.ones(n)).data
 
         for i in range(n):
             rc = np.zeros(d)
@@ -282,7 +273,7 @@ class TestFuse:
         station, cluster, area, attn = random_setup(rng, n=n, n_c=n_c, d=d)
         rel = compute_relations(station, cluster, area, attn)
         cluster_mem = rng.normal(size=(n_c, d))
-        z = fuse(station, LevelState(cluster_mem, np.zeros((1, d)), 0.0), rel).data
+        z = fuse(station, LevelState(cluster_mem, np.zeros((1, d)), 0.0), rel, np.ones(n)).data
         pulled = z[:, d:2 * d]
         assert (pulled >= cluster_mem.min(axis=0) - 1e-12).all()
         assert (pulled <= cluster_mem.max(axis=0) + 1e-12).all()
@@ -295,11 +286,11 @@ class TestFuse:
         area_mem = rng.normal(size=(1, d))
 
         rel = compute_relations(station, cluster, area, attn)
-        z = fuse(station, LevelState(cluster_mem.copy(), area_mem, 0.0), rel).data
+        z = fuse(station, LevelState(cluster_mem.copy(), area_mem, 0.0), rel, np.ones(n)).data
 
         perm = np.array([2, 0, 1])
         rel_p = compute_relations(station, cluster[perm], area, attn)
-        z_p = fuse(station, LevelState(cluster_mem[perm], area_mem, 0.0), rel_p).data
+        z_p = fuse(station, LevelState(cluster_mem[perm], area_mem, 0.0), rel_p, np.ones(n)).data
         assert np.allclose(z, z_p, rtol=1e-12, atol=1e-12)
 
 

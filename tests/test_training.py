@@ -195,6 +195,10 @@ class TestTrainLoop:
         assert len(lines) == 2 and lines[1].startswith("1,")
 
 
+def manifest_of(blob: bytes) -> dict:
+    return json.loads(blob[16:16 + struct.unpack_from("<I", blob, 12)[0]])
+
+
 def v1_checkpoint(manifest: bytes, payload: bytes) -> bytes:
     """A version 1 checkpoint file, whose checksum covers the payload alone."""
     return (b"CMODCKPT" + struct.pack("<II", 1, len(manifest)) + manifest + payload
@@ -358,6 +362,48 @@ class TestCheckpoints:
         for (name, a), (_, b) in zip(params.named_tensors(), again.named_tensors()):
             assert np.array_equal(a.data, b.data), name
             assert np.array_equal(opt.m[name], opt_again.m[name]), name
+
+    def test_version_2_file_with_feat_dim_loads_bit_exactly(self, tmp_path):
+        # Written by the version 2 writer while HyperParams still had ``feat_dim``:
+        # init_params(hyper, 5) plus Adam moments built from arange and powers of 0.25.
+        blob = (Path(__file__).parent / "data" / "checkpoint_v2.ckpt").read_bytes()
+        assert manifest_of(blob)["hyper"]["feat_dim"] == 3
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(blob)
+        params, opt, hyper = load_checkpoint(path)
+        assert hyper == HyperParams(n=3, dim=4, msg_dim=4, heads=2, rel_dim=2, n_clusters=2,
+                                    tau=60.0, decay_rate=0.01)
+        assert (opt.lr, opt.step_count) == (0.002, 9)
+        expected = init_params(hyper, 5).named_tensors()
+        assert [name for name, _ in params.named_tensors()] == [name for name, _ in expected]
+        for k, ((name, t), (_, ref)) in enumerate(zip(params.named_tensors(), expected)):
+            assert np.array_equal(t.data, ref.data), name
+            assert np.array_equal(opt.m[name], np.arange(t.data.size, dtype=float)
+                                  .reshape(t.data.shape) / (k + 2)), name
+            assert np.array_equal(opt.v[name], np.full(t.data.shape, 0.25 ** k)), name
+        # Saved again, the manifest drops the key; the arrays round-trip.
+        save_checkpoint(params, opt, hyper, path)
+        saved = path.read_bytes()
+        assert "feat_dim" not in manifest_of(saved)["hyper"]
+        assert saved[16 + struct.unpack_from("<I", saved, 12)[0]:-8] == \
+            blob[16 + struct.unpack_from("<I", blob, 12)[0]:-8]
+        again, opt_again, hyper_again = load_checkpoint(path)
+        assert hyper_again == hyper
+        for (name, a), (_, b) in zip(params.named_tensors(), again.named_tensors()):
+            assert np.array_equal(a.data, b.data), name
+            assert np.array_equal(opt.m[name], opt_again.m[name]), name
+
+    def test_feat_dim_other_than_node_count_is_version_mismatch(self, tmp_path):
+        blob = (Path(__file__).parent / "data" / "checkpoint_v2.ckpt").read_bytes()
+        manifest_end = 16 + struct.unpack_from("<I", blob, 12)[0]
+        manifest = manifest_of(blob)
+        manifest["hyper"]["feat_dim"] = 4
+        raw = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        body = b"CMODCKPT" + struct.pack("<II", 2, len(raw)) + raw + blob[manifest_end:-8]
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+        with pytest.raises(VersionMismatch, match="one-hot"):
+            load_checkpoint(path)
 
     def test_every_header_and_manifest_bit_flip_and_truncation(self, tmp_path):
         hyper = small_hyper(n=3)
