@@ -2,13 +2,16 @@
 
 Subcommands: synth, train, evaluate, predict, oracle-check, grad-check,
 export-reps, export-relations.  Each reads the keys of its table in
-:data:`COMMANDS`; flags win over a JSON config file (``--config``), and the
-file over the table default.  :func:`typed` types every value.  synth, train
-and evaluate echo the typed configuration plus its hash to
-``run_config.json`` next to their outputs for provenance.
+:data:`COMMANDS`, and its table holds no key it leaves unread (grad-check's
+``--toy`` names its only mode).  Flags win over a JSON config file
+(``--config``), and the file over the table default.  :func:`typed` types
+every value, a flag's as the file's: a numeric flag's text is read as a
+number first.  synth, train and evaluate echo the typed configuration plus
+its hash to ``run_config.json`` next to their outputs for provenance.
 
-Exit codes: 0 success, 2 usage/config errors, 1 domain errors.  Both are
-reported as one line with the error class name.
+Exit codes: 0 success, 2 usage/config errors (a command line that argparse
+refuses too), 1 domain errors.  Both are reported as one line with the error
+class name.
 """
 
 from __future__ import annotations
@@ -32,13 +35,9 @@ from .training import Splits, TrainConfig, load_checkpoint, save_checkpoint, tra
 
 ABLATIONS = {"no-ml": "no_multilevel", "no-mu": "no_weighted_update", "mse-loss": "mse_loss"}
 
-#: Most cells (windows x N^2) a run's truth array may have, checked before any
-#: per-window array is built: 0.5 GiB of float64.  Criterion 7 needs 864 x 24^2.
-MAX_TRUTH_CELLS = 1 << 26
-
-#: Most cells any one array of a model, or of oracle-check, may have, checked
-#: before any is built: 0.5 GiB of float64.  The default model's largest, the
-#: output head's first layer, has 6 x 256^2.
+#: Most cells any one array of a run may have, checked before any is built: 0.5 GiB
+#: of float64.  The default model's largest parameter, the output head's first
+#: layer, has 6 x 256^2; criterion 7's truth array (windows x N^2) 864 x 24^2.
 MAX_ARRAY_CELLS = 1 << 26
 
 
@@ -66,6 +65,16 @@ def typed(key: str, kind, value):
     what = {bool: "true or false", int: "an integer", float: "a finite number",
             str: "a string"}.get(kind) or f"one of {', '.join(kind)}"
     raise UsageError(f"bad value for {key}: {value!r} is not {what}")
+
+
+def _number(text: str):
+    """A numeric flag's text as an int, else a float, else as it is for :func:`typed`."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _profile(value) -> tuple[RateSegment, ...]:
@@ -101,10 +110,14 @@ class RunConfig:
         self.effective: dict = {}
 
     def get(self, key: str):
-        """The typed value of ``key``; a JSON null in the file means unset."""
+        """The typed value of ``key``; a JSON null in the file means unset.  A numeric
+        flag's text is read as a number first, so it is typed as the file's would be."""
         spec = self.keys[key]
         value = getattr(self.args, key, None)
-        value = self.file.get(key) if value is None else value
+        if value is None:
+            value = self.file.get(key)
+        elif spec.kind in (int, float):
+            value = _number(value)
         value = spec.default if value is None else typed(key, spec.kind, value)
         self.effective[key] = value
         return value
@@ -129,17 +142,15 @@ def _checked(build, *args, **kwargs):
 
 
 def _splits_from(rc: RunConfig, hyper: HyperParams) -> Splits:
-    """The day splits in windows of ``hyper.tau``, within :data:`MAX_TRUTH_CELLS`."""
+    """The day splits in windows of ``hyper.tau``, if their truth array is not too big."""
     keys = ("train_days", "val_days", "test_days")
     days = tuple(rc.get(key) for key in keys)
     for key, value in zip(keys, days):
         if value < 0:
             raise UsageError(f"bad value for {key}: {value!r} is negative")
     day_length = rc.get("day_length")
-    windows = sum(days) * day_length / hyper.tau
-    if not windows * hyper.n ** 2 <= MAX_TRUTH_CELLS:
-        raise UsageError(f"tau {hyper.tau!r} cuts the splits into {windows:.3g} windows: more than "
-                         f"{MAX_TRUTH_CELLS} truth cells at {hyper.n} nodes")
+    _within_cells({"the truth array (windows x nodes x nodes)":
+                   (sum(days) * day_length / hyper.tau, hyper.n, hyper.n)})
     return _checked(Splits.from_days, *days, hyper.tau, day_length=day_length)
 
 
@@ -165,17 +176,12 @@ def _sized(hyper: HyperParams) -> HyperParams:
     return hyper
 
 
-def _load_stream(rc: RunConfig, n: int | None = None):
-    """The ``--events`` stream and its catalog (``--catalog``, else ``n`` or ``--n`` nodes)."""
+def _load_stream(rc: RunConfig, n: int | None):
+    """The ``--events`` stream and its catalog: ``--catalog``, else ``n`` nodes."""
     events_path = rc.get("events")
     if not events_path:
         raise UsageError("--events is required")
-    catalog_path = rc.get("catalog")
-    if n is None:
-        n = rc.get("n")
-    if catalog_path is None and n is None:
-        raise UsageError("need --catalog or an explicit --n node count")
-    catalog = load_catalog(catalog_path, n)
+    catalog = _checked(load_catalog, rc.get("catalog"), n)
     return parse_events(events_path, catalog), catalog
 
 
@@ -216,7 +222,7 @@ def cmd_synth(rc: RunConfig) -> int:
 
 
 def cmd_train(rc: RunConfig) -> int:
-    events, catalog = _load_stream(rc)
+    events, catalog = _load_stream(rc, rc.get("n"))
     kwargs = {key: rc.get(key) for key in HYPER if key != "ablation"}
     if (ablation := rc.get("ablation")) is not None:
         kwargs[ABLATIONS[ablation]] = True
@@ -283,9 +289,9 @@ def cmd_oracle_check(rc: RunConfig) -> int:
     _within_cells({"the event columns": (n_events,),
                    "the flow matrix (nodes x nodes)": (n_nodes, n_nodes),
                    "the window edges": (n_batches,)})
+    tol = rc.get("tol")
     result = checks.oracle_equivalence_check(n_events=n_events, n_nodes=n_nodes,
                                              n_batches=n_batches, seed=rc.get("seed"))
-    tol = rc.get("tol")
     status = "OK" if result.passed(tol) else "FAIL"
     print(f"oracle-check: max_rel_error={result.max_rel_error:.3e} over "
           f"{result.batches} batches / {result.events} events "
@@ -312,14 +318,10 @@ def cmd_grad_check(rc: RunConfig) -> int:
 def cmd_export_reps(rc: RunConfig) -> int:
     params, hyper, events, catalog = _load_model_stream(rc)
     nodes = rc.get("nodes")
-    if nodes is None:
-        nodes = list(range(hyper.n))
-    for node in nodes:
-        if not 0 <= node < hyper.n:
-            raise UsageError(f"node {node} out of range 0..{hyper.n - 1}")
+    nodes = list(range(hyper.n)) if nodes is None else nodes
     out = rc.get("out")
-    evaluation.export_representations(params, events, catalog, hyper, nodes, out,
-                                      t0=_walk_t0(rc, events))
+    _checked(evaluation.export_representations, params, events, catalog, hyper, nodes, out,
+             t0=_walk_t0(rc, events))
     print(f"export-reps: {len(nodes)} nodes -> {out}")
     return 0
 
@@ -340,11 +342,10 @@ def cmd_export_relations(rc: RunConfig) -> int:
 
 # -- key tables and parser ------------------------------------------------
 
-COMMON = {"config": Key(str, None, "JSON config file; flags override its keys"),
-          "seed": Key(int, 0, "random seed")}
+COMMON = {"config": Key(str, None, "JSON config file; flags override its keys")}
+SEED = {"seed": Key(int, 0, "random seed")}
 STREAM = {"events": Key(str, None, "event CSV (origin,destination,timestamp)"),
           "catalog": Key(str, None, "catalog CSV (name,index); omit to use raw indices"),
-          "n": Key(int, None, "node count when no catalog file is given"),
           "t0": Key(float, None, "window origin (unset: first event floored to a tau boundary)")}
 HYPER = {"tau": Key(float, 1800.0, "prediction window seconds"),
          "decay_rate": Key(float, DEFAULT_DECAY_RATE, "memory decay rate 1/s"),
@@ -354,8 +355,7 @@ HYPER = {"tau": Key(float, 1800.0, "prediction window seconds"),
          "n_clusters": Key(int, None, "cluster count (unset: ceil(sqrt(N)))"),
          "ablation": Key(tuple(sorted(ABLATIONS)), None,
                          "variant switch: no-ml, no-mu, or mse-loss"),
-         "relation_scale": Key(bool, False), "no_multilevel": Key(bool, False),
-         "no_weighted_update": Key(bool, False), "mse_loss": Key(bool, False)}
+         "relation_scale": Key(bool, False)}
 SPLITS = {"train_days": Key(float, 14.0, "training days"),
           "val_days": Key(float, 2.0, "validation days"), "test_days": Key(float, 2.0, "test days"),
           "day_length": Key(float, 86400.0, "seconds per day")}
@@ -368,9 +368,10 @@ SYNTH = {"n": Key(int, 24, "node count"), "communities": Key(int, 3, "planted co
 #: Subcommand -> (handler, help, key table).
 COMMANDS = {
     "synth": (cmd_synth, "generate a synthetic event stream", {
-        **COMMON, **SYNTH, "out": Key(str, "synth", "output directory")}),
+        **COMMON, **SEED, **SYNTH, "out": Key(str, "synth", "output directory")}),
     "train": (cmd_train, "train on an event stream", {
-        **COMMON, **STREAM, **HYPER, **SPLITS, "out": Key(str, "run", "output directory"),
+        **COMMON, **SEED, **STREAM, "n": Key(int, None, "node count when no catalog file is given"),
+        **HYPER, **SPLITS, "out": Key(str, "run", "output directory"),
         "epochs": Key(int, 30, "max epochs"), "patience": Key(int, 10, "early stopping patience"),
         "lr": Key(float, 1e-4, "Adam learning rate")}),
     "evaluate": (cmd_evaluate, "evaluate a checkpoint on the test split", {
@@ -380,10 +381,11 @@ COMMANDS = {
         "cap": Key(int, None, "split busy windows every CAP events (varied timespans)"),
         "out": Key(str, "predictions.csv", "output CSV")}),
     "oracle-check": (cmd_oracle_check, "online accumulators vs closed form", {
-        **COMMON, "events": Key(int, 10_000, "stream size"), "nodes": Key(int, 20, "node count"),
-        "batches": Key(int, 50, "batch count"), "tol": Key(float, 1e-9, "relative tolerance")}),
+        **COMMON, **SEED, "events": Key(int, 10_000, "stream size"),
+        "nodes": Key(int, 20, "node count"), "batches": Key(int, 50, "batch count"),
+        "tol": Key(float, 1e-9, "relative tolerance")}),
     "grad-check": (cmd_grad_check, "finite-difference gradient verification", {
-        **COMMON, "toy": Key(bool, False, "use the builtin toy instance (the only mode)"),
+        **COMMON, **SEED, "toy": Key(bool, False, "use the builtin toy instance (the only mode)"),
         "tol": Key(float, 1e-4, "relative tolerance"),
         "out": Key(str, None, "per-coordinate CSV report")}),
     "export-reps": (cmd_export_reps, "dump station representations per batch", {
@@ -400,9 +402,15 @@ COMMANDS = {
 FILE_KEYS = {key for _, _, keys in COMMANDS.values() for key in keys} - {"config"} | {"lambda"}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """One flag per key with help, typed by argparse; unset flags stay None."""
-    parser = argparse.ArgumentParser(
+    """One flag per key with help, left as text for :meth:`RunConfig.get` to type; unset
+    flags stay None.  A command line argparse refuses is a UsageError."""
+    parser = _Parser(
         prog="odcast", description="Streaming origin-destination demand forecasting engine.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, about, keys) in COMMANDS.items():
@@ -414,20 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, action="store_true", default=None, help=spec.help)
             elif spec.help is not None:
                 shown = f"{shown:g}" if isinstance(shown, float) else shown
-                p.add_argument(flag, type=spec.kind if spec.kind in (int, float) else None,
-                               choices=spec.kind if isinstance(spec.kind, tuple) else None,
-                               help=spec.help + ("" if shown is None else f" (default {shown})"))
+                default = "" if shown is None else f" (default {shown})"
+                p.add_argument(flag, help=spec.help + default)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(RunConfig(args))
+    except SystemExit as exc:  # --help, after printing it
+        return exc.code
     except UsageError as exc:
         print(f"UsageError: {exc}", file=sys.stderr)
         return 2

@@ -256,6 +256,8 @@ def export_representations(params: ModelParams, events: Events, catalog: NodeCat
     raw d-dimensional series is suitable for offline projection (PCA etc.).
     """
     replay = Replay(params, events, catalog, hyper, t0, until)
+    if not nodes:
+        raise ValueError("the node list is empty")
     for node in nodes:
         if not 0 <= node < hyper.n:
             raise ValueError(f"node {node} out of range 0..{hyper.n - 1}")

@@ -83,6 +83,14 @@ class EventStream:
             object.__setattr__(self, name, column)
 
     @classmethod
+    def _unchecked(cls, *columns: np.ndarray) -> EventStream:
+        """A stream that holds ``columns`` as they are: int64, int64 and float64, 1-D
+        of one length, finite and in time order, as the caller has checked."""
+        stream = object.__new__(cls)
+        stream._hold(*columns)
+        return stream
+
+    @classmethod
     def of(cls, events: Events) -> EventStream:
         """``events`` as a stream: a stream passes through, rows are converted."""
         if isinstance(events, EventStream):
@@ -96,9 +104,8 @@ class EventStream:
     def __getitem__(self, rows: slice) -> EventStream:
         if not isinstance(rows, slice) or rows.step not in (None, 1):
             raise TypeError("an event stream is sliced by an index range")
-        view = object.__new__(EventStream)  # a range of a valid stream needs no check
-        view._hold(self.origins[rows], self.destinations[rows], self.times[rows])
-        return view
+        # A range of a valid stream needs no check.
+        return EventStream._unchecked(self.origins[rows], self.destinations[rows], self.times[rows])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):
@@ -370,7 +377,7 @@ def parse_events(source: str | Path | IO, catalog: NodeCatalog) -> EventStream:
     name the same line and say the same as a row-by-row parse.
     """
     resolved = _Resolved(catalog)
-    parts = []
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]  # typed if no rows
     last = -math.inf
     with _csv_text(source, EVENT_HEADER) as (stream, header_lines):
         line = header_lines  # lines read; rows are numbered by record from 2
@@ -390,7 +397,8 @@ def parse_events(source: str | Path | IO, catalog: NodeCatalog) -> EventStream:
                 line += len(lines)
         except UnicodeDecodeError as exc:
             raise _not_utf8(line + 1, exc) from None
-    return EventStream(*([np.concatenate(column) for column in zip(*parts)] or ([], [], [])))
+    # Each part is checked and starts no earlier than the one before it ends.
+    return EventStream._unchecked(*(np.concatenate(column) for column in zip(*parts)))
 
 
 def csv_field(text: str) -> str:

@@ -52,8 +52,8 @@ class HyperParams:
             object.__setattr__(self, "rel_dim", max(1, self.dim // self.heads))
         if self.n_clusters is None:
             object.__setattr__(self, "n_clusters", math.ceil(math.sqrt(self.n)))
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1")
+        if min(self.msg_dim, self.rel_dim, self.n_clusters) < 1:
+            raise ValueError("msg_dim, rel_dim and n_clusters must all be >= 1")
         if self.msg_dim % self.heads != 0:
             raise ValueError(f"msg_dim {self.msg_dim} must be divisible by heads {self.heads}")
         if self.tau <= 0 or self.decay_rate <= 0:

@@ -36,7 +36,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionMismatch
 from .events import write_csv
 from .memory import DecayConfig, StationMessages
 
@@ -49,10 +48,6 @@ class AttentionWeights:
     w_c2: Tensor  # (H, d_rel, d), cluster side
     w_g1: Tensor  # (H, d_rel, d), cluster side of the area relation
     w_g2: Tensor  # (H, d_rel, d), area side
-
-    @property
-    def heads(self) -> int:
-        return self.w_c1.data.shape[0]
 
 
 @dataclass
@@ -91,13 +86,6 @@ class LevelState:
                           ad.detach(ad.as_tensor(self.area_mem)), self.last_update)
 
 
-def _check_projection(w: Tensor, heads: int, d: int, what: str) -> None:
-    if w.data.ndim != 3 or w.data.shape[0] != heads or w.data.shape[2] != d:
-        raise DimensionMismatch(
-            f"{what} has shape {w.data.shape}, expected ({heads}, *, {d})"
-        )
-
-
 def compute_relations(station_reps, cluster_reps, area_rep, attn: AttentionWeights,
                       scale_logits: bool = False) -> RelationTensors:
     """Bilinear relation logits between adjacent levels, all heads at once.
@@ -108,18 +96,7 @@ def compute_relations(station_reps, cluster_reps, area_rep, attn: AttentionWeigh
     BEFORE the current batch's memory update.  ``scale_logits`` divides by
     sqrt(d_rel) before the softmaxes (off by default).
     """
-    station = ad.as_tensor(station_reps)
-    cluster = ad.as_tensor(cluster_reps)
-    area = ad.as_tensor(area_rep)
-    d = station.data.shape[1]
-    if cluster.data.shape[1] != d or area.data.shape != (1, d):
-        raise DimensionMismatch(
-            f"level widths disagree: station {station.data.shape}, "
-            f"cluster {cluster.data.shape}, area {area.data.shape}"
-        )
-    for what in ("w_c1", "w_c2", "w_g1", "w_g2"):
-        _check_projection(getattr(attn, what), attn.heads, d, what)
-
+    station, cluster, area = map(ad.as_tensor, (station_reps, cluster_reps, area_rep))
     ac = ad.bilinear(station, attn.w_c1, cluster, attn.w_c2)
     ag = ad.bilinear(cluster, attn.w_g1, area, attn.w_g2)
     if scale_logits:
@@ -145,15 +122,12 @@ def project_cluster_messages(relations: RelationTensors, msgs: StationMessages,
     The projections are laid out as (H, d_msg/H, N), so ``acm`` multiplies
     them as it is.
     """
-    ratios = ad.constant(message_ratios(msgs))
-    _check_projection(w_c3, relations.heads, ratios.data.shape[1], "w_c3")
-    return ad.head_project(w_c3, ratios, relations.acm)
+    return ad.head_project(w_c3, ad.constant(message_ratios(msgs)), relations.acm)
 
 
 def project_area_message(relations: RelationTensors, cluster_msgs: Tensor,
                          w_g3: Tensor) -> Tensor:
     """Attention-weighted projection of cluster messages up to the area node."""
-    _check_projection(w_g3, relations.heads, cluster_msgs.data.shape[1], "w_g3")
     return ad.head_project(w_g3, cluster_msgs, relations.agm)
 
 
@@ -191,11 +165,6 @@ def fuse(station_reps, state: LevelState, relations: RelationTensors,
     station = ad.as_tensor(station_reps)
     cluster_mem = ad.as_tensor(state.cluster_mem)
     area_mem = ad.as_tensor(state.area_mem)
-    if cluster_mem.data.shape[1] != station.data.shape[1]:
-        raise DimensionMismatch(
-            f"cluster memory width {cluster_mem.data.shape} does not match "
-            f"station width {station.data.shape}"
-        )
     # Averaging the weights over heads first takes one product, not one per head.
     from_clusters = ad.matmul(ad.head_mean(relations.ace), cluster_mem)  # (N, d)
     return ad.fuse_columns(station, from_clusters, area_mem, row_scale)

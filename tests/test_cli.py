@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -6,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odcast import checks
-from odcast.cli import COMMANDS, main, typed
+from odcast import checks, cli, evaluation
+from odcast.cli import COMMANDS, RunConfig, main, typed
 from odcast.errors import UsageError
+from odcast.model import HyperParams
 from odcast.synthesis import RateSegment
-from odcast.training import load_checkpoint
+from odcast.training import Splits, TrainConfig, load_checkpoint
 
 
 def run(*argv):
@@ -232,7 +235,7 @@ def test_ablation_flag_round_trip(tmp_path, synth_dir):
 
 # Config-file values that no flag overrides; each must fail before any window is built.
 TRAIN_CONFIGS = {
-    "string-false-bool": {"no_multilevel": "false"},
+    "string-false-bool": {"relation_scale": "false"},
     "string-bool": {"relation_scale": "no"},
     "fractional-int": {"dim": 3.7},
     "bool-as-int": {"dim": True},
@@ -250,9 +253,15 @@ TOO_BIG = {
     "heads": ["--heads", HUGE, "--msg-dim", HUGE], "rel-dim": ["--rel-dim", HUGE],
     "n-clusters": ["--n-clusters", HUGE],
 }
+NOT_POSITIVE = {"msg-dim": ["--msg-dim", "-2", "--heads", "2"], "rel-dim": ["--rel-dim", "-1"]}
 TOO_BIG_ORACLE = {"events": "2" + HUGE[1:], "nodes": HUGE, "batches": "2" + HUGE[1:]}
 NODE_LISTS = {"nodes-bool-entry": {"nodes": [0, True]}, "nodes-fractional-entry": {"nodes": [1.5]},
-              "nodes-string-entry": {"nodes": ["0"]}}
+              "nodes-string-entry": {"nodes": ["0"]}, "nodes-empty-list": {"nodes": []}}
+# Command lines argparse refuses, and flag text typed as the file's value would be.
+TRAIN_FLAGS = {"unknown-flag": ["--dimm", "3"], "flag-without-value": ["--dim"],
+               "fractional-dim-flag": ["--dim", "3.5"],
+               "unknown-ablation-flag": ["--ablation", "bogus"],
+               "fractional-seed-flag": ["--seed", "1.5"]}
 PROFILES = {
     "profile-not-a-list": {"profile": 5},
     "profile-unknown-segment-key": {"profile": [{"bogus": 1}]},
@@ -291,7 +300,7 @@ PROFILES = {
     (["export-relations", "--checkpoint", "{checkpoint}", "--events", "{events}",
       "--catalog", "{catalog}", "--out", "{tmp}/dim.json/relations"], 1, "IoError"),
     *((["train", "--events", "{events}", "--catalog", "{catalog}", *flags], 2, "UsageError")
-      for flags in TOO_BIG.values()),
+      for flags in (*TOO_BIG.values(), *NOT_POSITIVE.values())),
     *((["oracle-check", f"--{key}", value], 2, "UsageError")
       for key, value in TOO_BIG_ORACLE.items()),
     (["train", "--events", "{events}", "--catalog", "{catalog}", "--epochs", "0"], 2,
@@ -302,14 +311,23 @@ PROFILES = {
     *((["export-reps", "--checkpoint", "{checkpoint}", "--events", "{events}", "--catalog",
         "{catalog}", "--config", f"{{tmp}}/{name}.json", "--out", "{tmp}/reps.csv"], 2,
        "UsageError") for name in NODE_LISTS),
+    (["export-reps", "--checkpoint", "{checkpoint}", "--events", "{events}", "--catalog",
+      "{catalog}", "--nodes", "", "--out", "{tmp}/reps.csv"], 2, "UsageError"),
+    *((["train", "--events", "{events}", "--catalog", "{catalog}", *flags], 2, "UsageError")
+      for flags in TRAIN_FLAGS.values()),
+    (["predict", "--checkpoint", "{checkpoint}", "--events", "{events}", "--catalog",
+      "{catalog}", "--seed", "5", "--out", "{tmp}/pred.csv"], 2, "UsageError"),
+    (["train", "--events", "{events}", "--n", "0"], 2, "UsageError"),
+    (["train", "--events", "{events}"], 2, "UsageError"),
 ], ids=["missing-events", "missing-catalog", "zero-heads", "tau-not-dividing-day",
         "node-out-of-range", "zero-cap", "non-integer-config-value", "t0-after-first-event",
         "non-utf8-events", *TRAIN_CONFIGS, "tau-flag-too-many-windows", *PROFILES,
         *(f"negative-{flag[2:]}" for flag in SPLIT_FLAGS), "grad-check-out-in-missing-dir",
         "export-reps-out-in-missing-dir", "export-relations-out-under-a-file",
-        *(f"too-big-{key}" for key in TOO_BIG),
+        *(f"too-big-{key}" for key in TOO_BIG), *(f"not-positive-{key}" for key in NOT_POSITIVE),
         *(f"too-big-oracle-{key}" for key in TOO_BIG_ORACLE), "zero-epochs",
-        "evaluate-zero-test-windows", *NODE_LISTS])
+        "evaluate-zero-test-windows", *NODE_LISTS, "nodes-empty-flag", *TRAIN_FLAGS,
+        "predict-seed-flag", "zero-n-without-catalog", "neither-catalog-nor-n"])
 def test_bad_input_is_one_line_error(tmp_path, capsys, monkeypatch, synth_dir, trained_dir, argv,
                                      code, error):
     def never(**kwargs):  # grad-check reports an unwritable --out before its check runs
@@ -413,3 +431,174 @@ def test_any_json_value_types_or_is_usage_error(data, value):
         assert all(type(node) is int for node in result)
     else:
         assert key == "profile" and all(isinstance(seg, RateSegment) for seg in result)
+
+
+class _Reached(Exception):
+    """Raised by a command's stubbed work: the run passed every check before it."""
+
+
+#: Command -> the module attribute that starts its work, and a config that lets it start.
+WORK = {
+    "synth": (cli, "generate", {"out": "{tmp}/synth"}),
+    "train": (cli, "train", {"events": "{events}", "catalog": "{catalog}", "out": "{tmp}/run"}),
+    "evaluate": (evaluation, "evaluate", {"checkpoint": "{checkpoint}", "events": "{events}",
+                                          "catalog": "{catalog}", "out": "{tmp}/eval"}),
+    "predict": (evaluation, "predict_walk", {"checkpoint": "{checkpoint}", "events": "{events}",
+                                             "catalog": "{catalog}", "out": "{tmp}/pred.csv"}),
+    "oracle-check": (checks, "oracle_equivalence_check", {}),
+    "grad-check": (checks, "toy_gradient_check", {}),
+    "export-reps": (evaluation, "export_representations", {
+        "checkpoint": "{checkpoint}", "events": "{events}", "catalog": "{catalog}",
+        "out": "{tmp}/reps.csv"}),
+    "export-relations": (evaluation, "final_relations", {
+        "checkpoint": "{checkpoint}", "events": "{events}", "catalog": "{catalog}",
+        "out": "{tmp}/relations"}),
+}
+PATH_KEYS = {"events", "catalog", "checkpoint", "out"}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory, synth_dir, trained_dir):
+    return {"tmp": tmp_path_factory.mktemp("work"), "events": synth_dir / "events.csv",
+            "catalog": synth_dir / "catalog.csv", "checkpoint": trained_dir / "checkpoint.bin"}
+
+
+def run_to_work(command, paths, config, *flags):
+    """Run ``command`` with its work stubbed, on ``config`` over the command's WORK config:
+    (exit code, stderr, typed objects), where the exit code is None and the objects are those
+    the work was given when the run reached it."""
+    module, name, base = WORK[command]
+    config = {key: value.format(**paths) if key in PATH_KEYS and isinstance(value, str)
+              else value for key, value in {**base, **config}.items()}
+    (paths["tmp"] / "config.json").write_text(json.dumps(config))
+    recorded = []
+
+    def work(*args, **kwargs):
+        recorded.extend(arg for arg in args if isinstance(arg, (HyperParams, TrainConfig, Splits)))
+        recorded.append({key: value for key, value in kwargs.items() if not callable(value)})
+        raise _Reached
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(module, name, work)
+        mp.chdir(paths["tmp"])  # a null path key means the default, a relative path
+        try:
+            code = run(command, "--config", str(paths["tmp"] / "config.json"), *flags)
+        except _Reached:
+            code = None
+    return code, err.getvalue(), recorded
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_reads_every_key_of_its_table(monkeypatch, paths, command):
+    read = set()
+    get = RunConfig.get
+
+    def reading(self, key):
+        read.add(key)
+        return get(self, key)
+
+    monkeypatch.setattr(RunConfig, "get", reading)
+    code, err, _ = run_to_work(command, paths, {})
+    assert code is None, err
+    assert read == set(COMMANDS[command][2]) - {"config", "toy"}
+
+
+NUMBERS = (st.integers(-10**20, 10**20) | st.floats()
+           | st.sampled_from([2.0, 3.5, -0.0, 1e-300, 1e300, 10**18, -(10**18), 10**400]))
+
+
+def mostly(good, bad):
+    """Values from ``good`` nine times in ten, else from ``bad`` (lists are sampled)."""
+    good, bad = (st.sampled_from(v) if isinstance(v, list) else v for v in (good, bad))
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else good)
+
+
+def _key_values():
+    """Values for every key of train, evaluate and predict, most of them good, the others
+    bad or too big for any array.  A path key gets no other text: it would name a missing
+    file, which is an IoError."""
+    days = mostly([0.5, 1.0, 2], [0, 0.01, -1.0, 1e300])
+    not_text = st.none() | st.booleans() | NUMBERS | st.lists(st.integers(), max_size=2)
+    return {
+        "tau": mostly([1800.0, 3600, 900.0], [7000.0, 1e-300, 0.0, -1800.0]),
+        "decay_rate": mostly(st.floats(1e-6, 1e-2), [0.0, -1e-4]),
+        "dim": mostly([2, 4, 6, 8], [0, -1, 10**18]),
+        "msg_dim": mostly([2, 4, 6, 8], [0, -2, 10**18]),
+        "heads": mostly([1, 2], [3, 0, 10**18]), "rel_dim": mostly([None, 1, 3], [0, -1, 10**18]),
+        "n_clusters": mostly([None, 1, 2, 3], [0, -1, 10**18]),
+        "epochs": mostly([1, 2], [0, -1]), "patience": mostly([1, 5], [0]),
+        "lr": mostly(st.floats(1e-6, 1.0), NUMBERS), "seed": mostly(st.integers(), NUMBERS),
+        "n": mostly([None, 6, 7], [0, -1, 10**18]),
+        "t0": mostly([None, 0.0, 1800.0], st.sampled_from([9e4, -1e9]) | NUMBERS),
+        "train_days": days, "val_days": days, "test_days": days,
+        "day_length": mostly([86400.0, 3600], [1800.0, 0, -86400.0, 1e-300]),
+        "cap": mostly([None, 1, 50, 2.0], st.sampled_from([0, -5]) | NUMBERS),
+        "ablation": mostly([None, "no-ml", "no-mu", "mse-loss"], ["bogus"]),
+        "relation_scale": mostly([True, False, None], ["false", 0]),
+        **{key: mostly([f"{{{key}}}"], not_text) for key in ("events", "catalog", "checkpoint")},
+        "out": mostly(["{tmp}/out"], not_text),
+    }
+
+
+KEY_VALUES = _key_values()
+#: Any JSON value, for any key but a path key.
+JUNK = json_leaves | st.lists(json_leaves, max_size=2) | st.sampled_from(["nan", "3", "no-ml"])
+#: Domain errors a config can meet with valid files: a training split under two windows,
+#: and an index catalog (no ``catalog`` key) that does not hold the file's node names.
+DOMAIN_ERRORS = {"EmptyTrainSplit", "UnknownNode"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["train", "evaluate", "predict"]))
+def test_any_config_reaches_the_work_or_is_one_usage_error(paths, data, command):
+    keys = sorted(set(COMMANDS[command][2]) - {"config"})
+    config = data.draw(st.fixed_dictionaries({}, optional={key: KEY_VALUES[key] for key in keys}))
+    # At most one junk value, perhaps under an unknown key or another command's key.
+    config |= data.draw(st.dictionaries(
+        st.sampled_from([*sorted(set(keys) - PATH_KEYS), "dimm", "lambda", "communities"]),
+        JUNK, max_size=1))
+    code, err, recorded = run_to_work(command, paths, config)
+    if code is None:  # every size of the model it reached can be built
+        hyper = next(obj for obj in recorded if isinstance(obj, HyperParams))
+        assert min(hyper.n, hyper.dim, hyper.msg_dim, hyper.heads, hyper.rel_dim,
+                   hyper.n_clusters) >= 1
+        return
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    error = lines[0].split(":")[0]
+    if code == 1:
+        assert error in DOMAIN_ERRORS, err
+        assert error == "EmptyTrainSplit" or config.get("catalog", "") is None, err
+    else:
+        assert (code, error) == (2, "UsageError"), err
+
+
+NUMERIC_KEYS = sorted({(command, key) for command in ("train", "evaluate", "predict")
+                       for key, spec in COMMANDS[command][2].items() if spec.kind in (int, float)})
+
+
+def assert_flag_types_as_the_file(paths, command, key, value):
+    """``--key=value`` and ``{"key": value}`` give the same exit, error and typed objects."""
+    from_file = run_to_work(command, paths, {key: value})
+    from_flag = run_to_work(command, paths, {}, f"--{key.replace('_', '-')}={value}")
+    assert from_flag == from_file
+    return from_file
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_key=st.sampled_from(NUMERIC_KEYS), value=NUMBERS)
+def test_numeric_flag_text_types_as_the_file_value(paths, command_key, value):
+    assert_flag_types_as_the_file(paths, *command_key, value)
+
+
+@pytest.mark.parametrize("command, key, value, typed_value", [
+    ("predict", "cap", 2.0, 2), ("predict", "t0", 0, 0.0), ("train", "dim", 3.5, None),
+    ("train", "seed", 1.5, None), ("train", "tau", 1e-300, None)])
+def test_flag_text_is_typed_by_the_file_rules(paths, command, key, value, typed_value):
+    code, err, recorded = assert_flag_types_as_the_file(paths, command, key, value)
+    if typed_value is None:
+        assert code == 2 and err.startswith("UsageError: ") and err.count("\n") == 1
+    else:
+        assert code is None and recorded[-1][key] == typed_value
+        assert type(recorded[-1][key]) is type(typed_value)

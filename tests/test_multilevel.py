@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from odcast import autodiff as ad
-from odcast.errors import DimensionMismatch, TimeRegression
+from odcast.errors import ShapeError, TimeRegression
 from odcast.memory import DecayConfig, StationMessages
 from odcast.multilevel import (AttentionWeights, LevelState, compute_relations, fuse,
                                message_ratios, project_area_message,
@@ -75,7 +75,7 @@ class TestComputeRelations:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(4)
         station, cluster, area, attn = random_setup(rng)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeError):
             compute_relations(station[:, :2], cluster, area, attn)
 
     def test_scale_flag_shrinks_logits(self):
