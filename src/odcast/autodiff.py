@@ -620,15 +620,18 @@ class FdReport:
                    for r in self.rows))
 
 
+_FD_H_SCALE = 1e-5  # fd_check's step per unit of max(1, |theta_c|)
+_FD_MAX_COORDS = 64  # the most coordinates of one array that fd_check perturbs
+
+
 def fd_check(f: Callable[[], Tensor], params: Sequence[tuple[str, Tensor]],
-             h_scale: float = 1e-5, tol: float = 1e-4, max_coords: int = 64,
-             seed: int = 0) -> FdReport:
+             tol: float = 1e-4, seed: int = 0) -> FdReport:
     """Compare analytic gradients of ``f()`` against central differences.
 
     ``f`` must be a deterministic zero-argument map that rebuilds its tape
-    from the given parameters on every call and returns a scalar.  Large
-    arrays are subsampled to ``max_coords`` seeded coordinates (at least 64
-    by default); the step is ``h_scale * max(1, |theta_c|)`` per coordinate.
+    from the given parameters on every call and returns a scalar.  Larger
+    arrays are subsampled to ``_FD_MAX_COORDS`` seeded coordinates; the step
+    is ``_FD_H_SCALE * max(1, |theta_c|)`` per coordinate.
     """
     zero_grads(t for _, t in params)
     loss = f()
@@ -640,14 +643,14 @@ def fd_check(f: Callable[[], Tensor], params: Sequence[tuple[str, Tensor]],
     for name, tensor in params:
         flat = tensor.data.reshape(-1)
         size = flat.size
-        if size <= max_coords:
+        if size <= _FD_MAX_COORDS:
             coords = np.arange(size)
         else:
-            coords = np.sort(rng.choice(size, size=max_coords, replace=False))
+            coords = np.sort(rng.choice(size, size=_FD_MAX_COORDS, replace=False))
         a_flat = analytic[name].reshape(-1)
         for c in coords:
             original = flat[c]
-            h = h_scale * max(1.0, abs(original))
+            h = _FD_H_SCALE * max(1.0, abs(original))
             flat[c] = original + h
             f_plus = f().item()
             flat[c] = original - h

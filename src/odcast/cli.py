@@ -7,7 +7,10 @@ export-reps, export-relations.  Each reads the keys of its table in
 (``--config``), and the file over the table default.  :func:`typed` types
 every value, a flag's as the file's: a numeric flag's text is read as a
 number first.  synth, train and evaluate echo the typed configuration plus
-its hash to ``run_config.json`` next to their outputs for provenance.
+its hash to ``run_config.json`` next to their outputs for provenance.  A
+setting is checked once, where it is read: the library refuses a bad split,
+``lr``, walk ``t0`` or ``cap``, or the relations of a no-ml model with a
+ValueError before any step, and :func:`_checked` reports it as a UsageError.
 
 Exit codes: 0 success, 2 usage/config errors (a command line that argparse
 refuses too), 1 domain errors.  Both are reported as one line with the error
@@ -48,7 +51,7 @@ Key = namedtuple("Key", "kind default help", defaults=(None, None))
 
 def typed(key: str, kind, value):
     """``value`` as ``kind``, or a UsageError naming ``key``.  Booleans must be JSON
-    booleans, integers integral numbers, floats finite numbers (ints widen)."""
+    booleans, integers integral numbers, floats finite numbers (exact ints widen)."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
         if (kind in (bool, str) and isinstance(value, kind)
@@ -56,13 +59,13 @@ def typed(key: str, kind, value):
             return value
         if kind is int and number and float(value).is_integer():
             return int(value)
-        if kind is float and number and math.isfinite(value):
+        if kind is float and number and math.isfinite(value) and float(value) == value:
             return float(value)
         if not isinstance(kind, (type, tuple)):
             return kind(value)
     except (OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"bad value for {key}: {exc}") from None
-    what = {bool: "true or false", int: "an integer", float: "a finite number",
+    what = {bool: "true or false", int: "an integer", float: "a finite float",
             str: "a string"}.get(kind) or f"one of {', '.join(kind)}"
     raise UsageError(f"bad value for {key}: {value!r} is not {what}")
 
@@ -134,7 +137,7 @@ class RunConfig:
 
 
 def _checked(build, *args, **kwargs):
-    """Call a config constructor, reporting a rejected value as a UsageError."""
+    """Call a config constructor or a walk, reporting its ValueError as a UsageError."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
@@ -143,11 +146,7 @@ def _checked(build, *args, **kwargs):
 
 def _splits_from(rc: RunConfig, hyper: HyperParams) -> Splits:
     """The day splits in windows of ``hyper.tau``, if their truth array is not too big."""
-    keys = ("train_days", "val_days", "test_days")
-    days = tuple(rc.get(key) for key in keys)
-    for key, value in zip(keys, days):
-        if value < 0:
-            raise UsageError(f"bad value for {key}: {value!r} is negative")
+    days = tuple(rc.get(key) for key in ("train_days", "val_days", "test_days"))
     day_length = rc.get("day_length")
     _within_cells({"the truth array (windows x nodes x nodes)":
                    (sum(days) * day_length / hyper.tau, hyper.n, hyper.n)})
@@ -193,14 +192,6 @@ def _load_model_stream(rc: RunConfig):
     params, _, hyper = load_checkpoint(ckpt)
     events, catalog = _load_stream(rc, hyper.n)
     return params, hyper, events, catalog
-
-
-def _walk_t0(rc: RunConfig, events) -> float | None:
-    """``--t0`` for a walk over the whole stream, which must not start after its first event."""
-    t0 = rc.get("t0")
-    if t0 is not None and len(events) and events.times[0] < t0:
-        raise UsageError(f"--t0 {t0!r} is after the first event (t={float(events.times[0])!r})")
-    return t0
 
 
 # -- subcommands ---------------------------------------------------------
@@ -271,12 +262,9 @@ def cmd_evaluate(rc: RunConfig) -> int:
 
 def cmd_predict(rc: RunConfig) -> int:
     params, hyper, events, catalog = _load_model_stream(rc)
-    cap = rc.get("cap")
-    if cap is not None and cap < 1:
-        raise UsageError(f"--cap must be >= 1, got {cap}")
     out = Path(rc.get("out"))
-    predictions = evaluation.predict_walk(params, events, catalog, hyper,
-                                          t0=_walk_t0(rc, events), cap=cap)
+    predictions = _checked(evaluation.predict_walk, params, events, catalog, hyper,
+                           t0=rc.get("t0"), cap=rc.get("cap"))
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     evaluation.write_predictions_csv(predictions, catalog, out)
@@ -321,19 +309,17 @@ def cmd_export_reps(rc: RunConfig) -> int:
     nodes = list(range(hyper.n)) if nodes is None else nodes
     out = rc.get("out")
     _checked(evaluation.export_representations, params, events, catalog, hyper, nodes, out,
-             t0=_walk_t0(rc, events))
+             t0=rc.get("t0"))
     print(f"export-reps: {len(nodes)} nodes -> {out}")
     return 0
 
 
 def cmd_export_relations(rc: RunConfig) -> int:
     params, hyper, events, catalog = _load_model_stream(rc)
-    if hyper.no_multilevel:
-        raise UsageError("export-relations is meaningless under the no-ml ablation")
     out = Path(rc.get("out"))
-    out.mkdir(parents=True, exist_ok=True)
-    relations = evaluation.final_relations(params, events, catalog, hyper,
-                                           t0=_walk_t0(rc, events))
+    out.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the walk
+    relations = _checked(evaluation.final_relations, params, events, catalog, hyper,
+                         t0=rc.get("t0"))
     write_relation_csv(relations, "message", out / "message_weights.csv")
     write_relation_csv(relations, "fusion", out / "fusion_weights.csv")
     print(f"export-relations: {relations.heads} heads -> {out}")

@@ -23,8 +23,8 @@ if TYPE_CHECKING:
 class MetricReport:
     """MAE/RMSE/PCC over flattened (window, origin, destination) cells.
 
-    ``pcc`` is None (with ``pcc_degenerate`` set) when either flattened
-    vector is constant, rather than silently zero.
+    ``pcc`` is None when either flattened vector is constant (or empty),
+    rather than silently zero.
     """
 
     scope: str
@@ -33,7 +33,6 @@ class MetricReport:
     pcc: float | None
     windows: int
     cells: int
-    pcc_degenerate: bool = False
 
     def to_json_dict(self) -> dict:
         mae, rmse = (x if math.isfinite(x) else None for x in (self.mae, self.rmse))
@@ -56,7 +55,7 @@ def compute_metrics(preds: Sequence[np.ndarray], truths: Sequence[np.ndarray],
     if scope not in ("all_pairs", "above_average"):
         raise ValueError(f"unknown scope {scope!r}")
     if not preds:
-        return MetricReport(scope, math.nan, math.nan, None, 0, 0, pcc_degenerate=True)
+        return MetricReport(scope, math.nan, math.nan, None, 0, 0)
 
     yhat = np.concatenate([np.asarray(p, dtype=float).ravel() for p in preds])
     y = np.concatenate([np.asarray(t, dtype=float).ravel() for t in truths])
@@ -66,14 +65,13 @@ def compute_metrics(preds: Sequence[np.ndarray], truths: Sequence[np.ndarray],
 
     cells = y.size
     if cells == 0:
-        return MetricReport(scope, math.nan, math.nan, None, len(preds), 0,
-                            pcc_degenerate=True)
+        return MetricReport(scope, math.nan, math.nan, None, len(preds), 0)
     err = y - yhat
     mae = float(np.abs(err).mean())
     rmse = float(np.sqrt((err ** 2).mean()))
     sy, syh = float(y.std()), float(yhat.std())
     if sy == 0.0 or syh == 0.0:
-        return MetricReport(scope, mae, rmse, None, len(preds), cells, pcc_degenerate=True)
+        return MetricReport(scope, mae, rmse, None, len(preds), cells)
     pcc = float(((y - y.mean()) * (yhat - yhat.mean())).mean() / (sy * syh))
     return MetricReport(scope, mae, rmse, pcc, len(preds), cells)
 
@@ -140,21 +138,22 @@ class Replay:
     """The model's chronological walk over an event stream, batched once.
 
     Batches are tau windows from ``t0`` (by default the first event floored
-    to a tau boundary) up to ``until``, split every ``cap`` events when a cap
-    is given.  With ``windows`` set, the walk covers exactly the first
-    ``windows`` windows and drops the events outside them.  Each iteration
-    starts a fresh :class:`MemoryBank` at ``t0`` and yields
-    ``(batch, step result, bank)`` after every step.
+    to a tau boundary) through the last event, split every ``cap`` events
+    when a cap is given.  With ``windows`` set, the walk covers exactly the
+    first ``windows`` windows and drops the events outside them; otherwise
+    the batching refuses a ``t0`` after the first event, as it refuses a
+    ``cap`` below 1 (``ValueError``).  Each iteration starts a fresh
+    :class:`MemoryBank` at ``t0`` and yields ``(batch, step result, bank)``.
     """
 
     def __init__(self, params: ModelParams, events: Events, catalog: NodeCatalog,
-                 hyper: HyperParams, t0: float | None = None,
-                 until: float | None = None, cap: int | None = None,
+                 hyper: HyperParams, t0: float | None = None, cap: int | None = None,
                  windows: int | None = None):
         self.params, self.catalog, self.hyper = params, catalog, hyper
         stream = EventStream.of(events)
         tau = hyper.tau
         self.t0 = default_t0(stream, tau) if t0 is None else t0
+        until = None
         if windows is not None:
             until = self.t0 + windows * tau
             lo, hi = np.searchsorted(stream.times, [self.t0, until], side="left")
@@ -204,18 +203,18 @@ def evaluate(params: ModelParams, events: Events, catalog: NodeCatalog,
 
 
 def predict_walk(params: ModelParams, events: Events, catalog: NodeCatalog,
-                 hyper: HyperParams, t0: float | None = None,
-                 until: float | None = None, cap: int | None = None,
+                 hyper: HyperParams, t0: float | None = None, cap: int | None = None,
                  with_actual: bool = True) -> list[WindowPrediction]:
-    """One prediction per processed batch, each for the next tau seconds.
+    """One prediction per batch of the whole stream, each for the next tau seconds.
 
     With ``cap`` given, busy windows are split every ``cap`` events, so
     memories advance by varied timespans and predictions densify at peak
     (each sub-batch yields a prediction for [window_end, window_end + tau)).
+    :class:`Replay` refuses a bad ``t0`` or ``cap`` before any step.
     """
     stream = EventStream.of(events)
     tau = hyper.tau
-    replay = Replay(params, stream, catalog, hyper, t0, until, cap)
+    replay = Replay(params, stream, catalog, hyper, t0, cap)
     if with_actual:
         # One bisection of the sorted stream bounds every target window.
         # side="right" keeps an event at exactly t + tau in the slice;
@@ -235,27 +234,28 @@ def predict_walk(params: ModelParams, events: Events, catalog: NodeCatalog,
 def final_relations(params: ModelParams, events: Events,
                     catalog: NodeCatalog, hyper: HyperParams,
                     t0: float | None = None) -> RelationTensors:
-    """Replay the stream and return the relation tensors of the last step."""
+    """Replay the whole stream and return the relation tensors of the last step.
+    A no-ml model (``no_multilevel``) has none: it is refused before the replay."""
+    if hyper.no_multilevel:
+        raise ValueError("relations are not defined under the no-ml ablation")
     replay = Replay(params, events, catalog, hyper, t0)
     if not replay.batches:  # an empty stream still gets one idle window
         replay.batches.append(EventBatch((), replay.t0, replay.t0 + hyper.tau))
-    relations = None
     for _, result, _ in replay:
         relations = result.relations
-    if relations is None:
-        raise ValueError("relations are not defined under the no_multilevel ablation")
     return relations
 
 
 def export_representations(params: ModelParams, events: Events, catalog: NodeCatalog,
                            hyper: HyperParams, nodes: Sequence[int], path,
-                           t0: float | None = None, until: float | None = None) -> None:
-    """Dump each tracked node's representation after every batch.
+                           t0: float | None = None) -> None:
+    """Dump each tracked node's representation after every batch of the whole stream.
 
     Rows are ``timestamp,node,dim,value`` with timestamp the batch end; the
     raw d-dimensional series is suitable for offline projection (PCA etc.).
+    A bad ``t0``, an empty node list or a node out of range fails before any step.
     """
-    replay = Replay(params, events, catalog, hyper, t0, until)
+    replay = Replay(params, events, catalog, hyper, t0)
     if not nodes:
         raise ValueError("the node list is empty")
     for node in nodes:

@@ -16,7 +16,7 @@ import struct
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,11 +70,10 @@ def _flat_views(flat: np.ndarray, params: Sequence[tuple[str, Tensor]]) -> list[
     return views
 
 
-def adam_step(params: Sequence[tuple[str, Tensor]], grads: Mapping[str, np.ndarray] | None,
-              opt: AdamState) -> AdamState:
+def adam_step(params: Sequence[tuple[str, Tensor]], opt: AdamState) -> AdamState:
     """One bias-corrected Adam update, written in place into the parameter arrays.
 
-    ``grads`` may be None to use the gradients accumulated on the tensors by
+    The gradients are those accumulated on the tensors (``tensor.grad``) by
     the last backward pass.  The update runs as in-place vector ops on the
     flat moments and work buffers.
     """
@@ -93,10 +92,9 @@ def adam_step(params: Sequence[tuple[str, Tensor]], grads: Mapping[str, np.ndarr
     g.fill(0.0)
     parts = _flat_views(g, params)
     for (name, tensor), part in zip(params, parts):
-        grad = grads[name] if grads is not None else tensor.grad
-        if grad is None:
+        if tensor.grad is None:
             continue  # backward did not reach it: a zero gradient
-        grad = np.asarray(grad, dtype=float)
+        grad = np.asarray(tensor.grad, dtype=float)
         if grad.shape != part.shape:
             raise ShapeError(f"gradient for {name!r} has shape {grad.shape}, "
                              f"parameter has {part.shape}")
@@ -143,6 +141,12 @@ class Splits:
     @classmethod
     def from_days(cls, train_days: float, val_days: float, test_days: float, tau: float,
                   day_length: float = 86400.0) -> "Splits":
+        """Window counts of the three spans; no span may be negative, nor the day empty."""
+        for span, days in zip(("train", "val", "test"), (train_days, val_days, test_days)):
+            if days < 0:
+                raise ValueError(f"bad value for {span}_days: {days!r} is negative")
+        if day_length <= 0:
+            raise ValueError(f"bad value for day_length: {day_length!r} is not positive")
         per_day = day_length / tau
         if abs(per_day - round(per_day)) > 1e-9:
             raise ValueError(f"tau {tau} does not divide the day length {day_length}")
@@ -164,6 +168,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1 or self.patience < 1:
             raise ValueError("max_epochs and patience must be >= 1")
+        if not self.lr > 0:
+            raise ValueError(f"bad value for lr: {self.lr!r} is not positive")
 
 
 @dataclass
@@ -255,7 +261,7 @@ def train(events: Events, catalog: NodeCatalog, hyper: HyperParams, tc: TrainCon
                 pred = predict_od(result.z, params)
                 loss = od_loss(pred.raw, truths[target], mse_loss=hyper.mse_loss)
                 backward(loss)
-                adam_step(named, None, opt)
+                adam_step(named, opt)
                 zero_grads(t for _, t in named)
                 train_losses.append(loss.item())
             else:

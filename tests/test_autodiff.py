@@ -712,8 +712,7 @@ class TestFiniteChecks:
 class TestFdCheck:
     def test_square_at_three(self):
         theta = param(np.array([3.0]), name="theta")
-        report = fd_check(lambda: ad.tensor_sum(ad.square(theta)), [("theta", theta)],
-                          h_scale=1e-5, tol=1e-6)
+        report = fd_check(lambda: ad.tensor_sum(ad.square(theta)), [("theta", theta)], tol=1e-6)
         row = report.rows[0]
         assert row.analytic == pytest.approx(6.0, abs=1e-12)
         assert row.numeric == pytest.approx(6.0, abs=1e-6)
@@ -752,8 +751,8 @@ class TestFdCheck:
         def f():
             return ad.tensor_sum(ad.square(theta))
 
-        r1 = fd_check(f, [("theta", theta)], max_coords=64, seed=9)
+        r1 = fd_check(f, [("theta", theta)], seed=9)
         zero_grads([theta])
-        r2 = fd_check(f, [("theta", theta)], max_coords=64, seed=9)
+        r2 = fd_check(f, [("theta", theta)], seed=9)
         assert [r.coordinate for r in r1.rows] == [r.coordinate for r in r2.rows]
         assert len(r1.rows) == 64

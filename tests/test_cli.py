@@ -36,17 +36,24 @@ def synth_dir(tmp_path_factory):
     return out
 
 
+def train_tiny(synth_dir, out, *flags):
+    return run("train", "--events", str(synth_dir / "events.csv"),
+               "--catalog", str(synth_dir / "catalog.csv"), "--out", str(out),
+               "--train-days", "1.0", "--val-days", "0.5", "--test-days", "0.5",
+               "--dim", "6", "--msg-dim", "6", "--heads", "2", *flags)
+
+
+@pytest.fixture(scope="module")
+def no_ml_dir(tmp_path_factory, synth_dir):
+    out = tmp_path_factory.mktemp("ablated")
+    assert train_tiny(synth_dir, out, "--epochs", "1", "--ablation", "no-ml") == 0
+    return out
+
+
 @pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory, synth_dir):
     out = tmp_path_factory.mktemp("run")
-    code = run("train",
-               "--events", str(synth_dir / "events.csv"),
-               "--catalog", str(synth_dir / "catalog.csv"),
-               "--out", str(out),
-               "--train-days", "1.0", "--val-days", "0.5", "--test-days", "0.5",
-               "--dim", "6", "--msg-dim", "6", "--heads", "2", "--epochs", "2",
-               "--lr", "0.001", "--seed", "0")
-    assert code == 0
+    assert train_tiny(synth_dir, out, "--epochs", "2", "--lr", "0.001", "--seed", "0") == 0
     return out
 
 
@@ -178,17 +185,9 @@ class TestExports:
         # Each head's Acm columns sum to one: heads * n_clusters in total.
         assert total == pytest.approx(2 * 3, rel=1e-9)
 
-    def test_export_relations_rejects_no_ml(self, tmp_path, synth_dir):
-        run_dir = tmp_path / "ablated"
-        assert run("train",
-                   "--events", str(synth_dir / "events.csv"),
-                   "--catalog", str(synth_dir / "catalog.csv"),
-                   "--out", str(run_dir),
-                   "--train-days", "1.0", "--val-days", "0.5", "--test-days", "0.5",
-                   "--dim", "6", "--msg-dim", "6", "--heads", "2", "--epochs", "1",
-                   "--ablation", "no-ml") == 0
+    def test_export_relations_rejects_no_ml(self, tmp_path, synth_dir, no_ml_dir):
         code = run("export-relations",
-                   "--checkpoint", str(run_dir / "checkpoint.bin"),
+                   "--checkpoint", str(no_ml_dir / "checkpoint.bin"),
                    "--events", str(synth_dir / "events.csv"),
                    "--catalog", str(synth_dir / "catalog.csv"),
                    "--out", str(tmp_path / "rel"))
@@ -246,6 +245,7 @@ TRAIN_CONFIGS = {
     "tau-key-too-many-windows": {"tau": 1e-300},
 }
 SPLIT_FLAGS = ("--train-days", "--val-days", "--test-days")
+NOT_POSITIVE_DAY_LENGTHS = ("0", "-86400")
 # Sizes whose arrays NumPy can never allocate: a missing ceiling fails at once.
 HUGE = "1000000000000000000"
 TOO_BIG = {
@@ -319,6 +319,13 @@ PROFILES = {
       "{catalog}", "--seed", "5", "--out", "{tmp}/pred.csv"], 2, "UsageError"),
     (["train", "--events", "{events}", "--n", "0"], 2, "UsageError"),
     (["train", "--events", "{events}"], 2, "UsageError"),
+    *((["train", "--events", "{events}", "--catalog", "{catalog}", "--day-length", value], 2,
+       "UsageError") for value in NOT_POSITIVE_DAY_LENGTHS),
+    *((["evaluate", "--checkpoint", "{checkpoint}", "--events", "{events}", "--catalog",
+        "{catalog}", "--day-length", value, "--out", "{tmp}/eval"], 2, "UsageError")
+      for value in NOT_POSITIVE_DAY_LENGTHS),
+    *((["train", "--events", "{events}", "--catalog", "{catalog}", "--lr", value], 2,
+       "UsageError") for value in ("0", "-1")),
 ], ids=["missing-events", "missing-catalog", "zero-heads", "tau-not-dividing-day",
         "node-out-of-range", "zero-cap", "non-integer-config-value", "t0-after-first-event",
         "non-utf8-events", *TRAIN_CONFIGS, "tau-flag-too-many-windows", *PROFILES,
@@ -327,7 +334,9 @@ PROFILES = {
         *(f"too-big-{key}" for key in TOO_BIG), *(f"not-positive-{key}" for key in NOT_POSITIVE),
         *(f"too-big-oracle-{key}" for key in TOO_BIG_ORACLE), "zero-epochs",
         "evaluate-zero-test-windows", *NODE_LISTS, "nodes-empty-flag", *TRAIN_FLAGS,
-        "predict-seed-flag", "zero-n-without-catalog", "neither-catalog-nor-n"])
+        "predict-seed-flag", "zero-n-without-catalog", "neither-catalog-nor-n",
+        *(f"{command}-day-length-{value}" for command in ("train", "evaluate")
+          for value in NOT_POSITIVE_DAY_LENGTHS), "zero-lr", "negative-lr"])
 def test_bad_input_is_one_line_error(tmp_path, capsys, monkeypatch, synth_dir, trained_dir, argv,
                                      code, error):
     def never(**kwargs):  # grad-check reports an unwritable --out before its check runs
@@ -344,6 +353,37 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, monkeypatch, synth_dir, t
     assert run(*(arg.format(**paths) for arg in argv)) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{error}: ")
+
+
+# Walk settings the library refuses, each before the walk's first step.
+LATE_T0 = ["--t0", "90000"]
+WALK_REFUSALS = {
+    "predict-zero-cap": ["predict", "--cap", "0", "--out", "{tmp}/pred.csv"],
+    "predict-late-t0": ["predict", *LATE_T0, "--out", "{tmp}/pred.csv"],
+    "export-reps-late-t0": ["export-reps", *LATE_T0, "--out", "{tmp}/reps.csv"],
+    "export-relations-late-t0": ["export-relations", *LATE_T0, "--out", "{tmp}/rel"],
+    "export-relations-no-ml": ["export-relations", "--checkpoint", "{no_ml}", "--out",
+                               "{tmp}/rel"],
+}
+
+
+@pytest.mark.parametrize("argv", WALK_REFUSALS.values(), ids=WALK_REFUSALS)
+def test_bad_walk_setting_is_refused_before_any_step(tmp_path, capsys, monkeypatch, synth_dir,
+                                                    trained_dir, no_ml_dir, argv):
+    def never(*args):
+        raise AssertionError("the walk stepped")
+
+    monkeypatch.setattr(evaluation, "step", never)
+    paths = {"tmp": tmp_path, "events": synth_dir / "events.csv",
+             "catalog": synth_dir / "catalog.csv", "checkpoint": trained_dir / "checkpoint.bin",
+             "no_ml": no_ml_dir / "checkpoint.bin"}
+    command, *flags = argv
+    argv = [command, "--checkpoint", "{checkpoint}", "--events", "{events}",
+            "--catalog", "{catalog}", *flags]  # a later --checkpoint wins
+    capsys.readouterr()
+    assert run(*(arg.format(**paths) for arg in argv)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("UsageError: ")
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -594,7 +634,8 @@ def test_numeric_flag_text_types_as_the_file_value(paths, command_key, value):
 
 @pytest.mark.parametrize("command, key, value, typed_value", [
     ("predict", "cap", 2.0, 2), ("predict", "t0", 0, 0.0), ("train", "dim", 3.5, None),
-    ("train", "seed", 1.5, None), ("train", "tau", 1e-300, None)])
+    ("train", "seed", 1.5, None), ("train", "tau", 1e-300, None),
+    ("train", "lr", 2**53 + 1, None)])  # no float holds it exactly
 def test_flag_text_is_typed_by_the_file_rules(paths, command, key, value, typed_value):
     code, err, recorded = assert_flag_types_as_the_file(paths, command, key, value)
     if typed_value is None:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odcast import evaluation
 from odcast.errors import LengthMismatch
 from odcast.events import NodeCatalog, TransactionEvent
 from odcast.evaluation import (WindowPrediction, compute_metrics, evaluate,
@@ -71,7 +72,7 @@ class TestComputeMetrics:
 
     def test_degenerate_variance_flagged(self):
         report = compute_metrics([np.ones((2, 2))], [np.ones((2, 2))])
-        assert report.pcc is None and report.pcc_degenerate
+        assert report.pcc is None
         assert report.to_json_dict()["pcc"] is None
 
     def test_length_mismatch(self):
@@ -92,7 +93,7 @@ class TestComputeMetrics:
         truths = [np.zeros((2, 2))]
         report = compute_metrics([np.zeros((2, 2))], truths, scope="above_average")
         assert report.cells == 0 and math.isnan(report.mae)
-        assert report.pcc_degenerate
+        assert report.pcc is None
 
 
 class TestHistoricalAverage:
@@ -174,7 +175,7 @@ class TestEvaluateWalk:
         splits = Splits(train_windows=4, val_windows=2, test_windows=2)
         result = evaluate(params, [], catalog, hyper, splits, t0=0.0)
         assert result.all_pairs.mae == 0.0
-        assert result.above_average.cells == 0 and result.above_average.pcc_degenerate
+        assert result.above_average.cells == 0 and result.above_average.pcc is None
 
     def test_deterministic_reports(self):
         hyper, params, catalog = tiny_model()
@@ -199,7 +200,7 @@ class TestPredictWalk:
     def test_one_prediction_per_batch_window_mode(self):
         hyper, params, catalog = tiny_model()
         events = tiny_stream(3, 6, seed=1)
-        preds = predict_walk(params, events, catalog, hyper, t0=0.0, until=360.0)
+        preds = predict_walk(params, events, catalog, hyper, t0=0.0)
         assert len(preds) == 6
         assert all(p.window_end - p.window_start == hyper.tau for p in preds)
 
@@ -236,7 +237,7 @@ class TestPredictWalk:
     def test_csv_dump(self, tmp_path):
         hyper, params, catalog = tiny_model()
         events = tiny_stream(3, 3, seed=2)
-        preds = predict_walk(params, events, catalog, hyper, t0=0.0, until=180.0)
+        preds = predict_walk(params, events, catalog, hyper, t0=0.0)
         path = tmp_path / "pred.csv"
         write_predictions_csv(preds, catalog, path)
         lines = path.read_text().strip().splitlines()
@@ -248,8 +249,8 @@ class TestPredictWalk:
     def test_csv_bytes_match_per_cell_writer(self, tmp_path, names, include_actual):
         hyper, params, _ = tiny_model()
         catalog = NodeCatalog(n=3, names=names)
-        preds = predict_walk(params, tiny_stream(3, 4, seed=6), catalog, hyper, t0=0.0,
-                             until=240.0, cap=1, with_actual=include_actual)
+        preds = predict_walk(params, tiny_stream(3, 4, seed=6), catalog, hyper, t0=0.0, cap=1,
+                             with_actual=include_actual)
         preds[0].predicted[0, 1] = -0.0
         preds[1].predicted[2, 2] = 1e-300
         path, ref = tmp_path / "pred.csv", tmp_path / "ref.csv"
@@ -273,8 +274,7 @@ class TestPredictWalk:
         hyper, params, _ = tiny_model()
         names = ("a,b", 'q"x', "plain")
         catalog = NodeCatalog(n=3, names=names)
-        preds = predict_walk(params, tiny_stream(3, 3, seed=2), catalog, hyper, t0=0.0,
-                             until=180.0)
+        preds = predict_walk(params, tiny_stream(3, 3, seed=2), catalog, hyper, t0=0.0)
         path = tmp_path / "pred.csv"
         write_predictions_csv(preds, catalog, path)
         with open(path, encoding="utf-8", newline="") as fh:
@@ -321,8 +321,8 @@ class TestExports:
     def test_idle_node_rows_repeat(self, tmp_path):
         hyper, params, catalog = tiny_model()
         path = tmp_path / "reps.csv"
-        export_representations(params, [], catalog, hyper, [1], path, t0=0.0,
-                               until=180.0)
+        trips = [TransactionEvent(0, 2, 10.0), TransactionEvent(2, 0, 130.0)]  # 3 windows
+        export_representations(params, trips, catalog, hyper, [1], path, t0=0.0)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "timestamp,node,dim,value"
         rows = [line.split(",") for line in lines[1:]]
@@ -337,8 +337,7 @@ class TestExports:
         hyper, params, catalog = tiny_model()
         events = tiny_stream(3, 4, seed=3)
         path = tmp_path / "reps.csv"
-        export_representations(params, events, catalog, hyper, [0, 2], path, t0=0.0,
-                               until=240.0)
+        export_representations(params, events, catalog, hyper, [0, 2], path, t0=0.0)
         lines = path.read_text().strip().splitlines()[1:]
         assert len(lines) == 4 * 2 * hyper.dim
 
@@ -355,9 +354,13 @@ class TestExports:
         actual = [float(line.split(",")[3]) for line in lines]
         assert np.allclose(actual, expected, rtol=0, atol=0)
 
-    def test_final_relations_requires_multilevel(self):
+    def test_final_relations_requires_multilevel(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the walk stepped")
+
+        monkeypatch.setattr(evaluation, "step", never)  # refused before the walk
         hyper, params, catalog = tiny_model(no_multilevel=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no-ml"):
             final_relations(params, tiny_stream(3, 2), catalog, hyper, t0=0.0)
 
     def test_final_relations_shape(self):
