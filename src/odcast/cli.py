@@ -31,7 +31,7 @@ from . import checks, evaluation
 from .errors import OdcastError, UsageError
 from .events import load_catalog, parse_events, write_catalog_csv, write_events_csv
 from .memory import DEFAULT_DECAY_RATE
-from .model import HyperParams
+from .model import HyperParams, param_layout
 from .multilevel import write_relation_csv
 from .synthesis import RateSegment, SynthConfig, generate
 from .training import Splits, TrainConfig, load_checkpoint, save_checkpoint, train, write_history
@@ -162,16 +162,10 @@ def _within_cells(arrays: dict[str, tuple[int, ...]]) -> None:
 
 
 def _sized(hyper: HyperParams) -> HyperParams:
-    """``hyper``, if none of its model's parameter or per-step arrays is too big."""
-    h, d, m, n, c = hyper.heads, hyper.dim, hyper.msg_dim, hyper.n, hyper.n_clusters
-    d_s = hyper.station_msg_dim
-    _within_cells({"attention weights (heads x rel_dim x dim)": (h, hyper.rel_dim, d),
-                   "relation logits (heads x nodes x n_clusters)": (h, n, c),
-                   "cluster memories (n_clusters x dim)": (c, d),
-                   "station update map (dim x station message)": (d, d_s),
-                   "message projection (msg_dim x station message)": (m, d_s),
-                   "level update map (dim x msg_dim)": (d, m),
-                   "output head (dim x 6 dim)": (d, 6 * d)})
+    """``hyper``, if none of its model's parameter arrays nor its relation logits is too big."""
+    _within_cells({"relation logits (heads x nodes x n_clusters)":
+                   (hyper.heads, hyper.n, hyper.n_clusters),
+                   **{f"parameter {spec.name}": spec.shape for spec in param_layout(hyper)}})
     return hyper
 
 
@@ -263,10 +257,9 @@ def cmd_evaluate(rc: RunConfig) -> int:
 def cmd_predict(rc: RunConfig) -> int:
     params, hyper, events, catalog = _load_model_stream(rc)
     out = Path(rc.get("out"))
+    out.parent.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the walk
     predictions = _checked(evaluation.predict_walk, params, events, catalog, hyper,
                            t0=rc.get("t0"), cap=rc.get("cap"))
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
     evaluation.write_predictions_csv(predictions, catalog, out)
     print(f"predict: {len(predictions)} windows -> {out}")
     return 0

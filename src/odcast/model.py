@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionMismatch, TimeRegression, VersionMismatch
+from .errors import DimensionMismatch, TimeRegression
 from .events import EventBatch, NodeCatalog
 from .memory import DEFAULT_DECAY_RATE, DecayConfig, aggregate_messages, update_stations
 from .multilevel import (AttentionWeights, LevelState, RelationTensors, compute_relations,
@@ -82,98 +82,80 @@ class Mlp:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.mlp(x, self.w1, self.b1, self.w2, self.b2)
 
-    def tensors(self) -> Iterator[tuple[str, Tensor]]:
-        yield "w1", self.w1
-        yield "b1", self.b1
-        yield "w2", self.w2
-        yield "b2", self.b2
+
+class ParamSpec(NamedTuple):
+    """One parameter array: its name, shape and init fan-in (0: zeros).  A stacked
+    array is checkpointed one head (axis 0) at a time, as ``name.{h}``."""
+
+    name: str
+    shape: tuple[int, ...]
+    fan_in: int
+    stacked: bool = False
+
+    def arrays(self) -> Iterator[tuple[str, tuple[int, ...], int | None]]:
+        """Its checkpoint arrays, lazily: (name, shape, head or None)."""
+        if not self.stacked:
+            yield self.name, self.shape, None
+            return
+        for h in range(self.shape[0]):
+            yield f"{self.name}.{h}", self.shape[1:], h
 
 
-@dataclass
+def param_layout(hyper: HyperParams) -> list[ParamSpec]:
+    """Every parameter array of the model in checkpoint order, the one place that
+    names and shapes them."""
+    h, d, d_rel, d_msg = hyper.heads, hyper.dim, hyper.rel_dim, hyper.msg_dim
+    d_s = hyper.station_msg_dim
+    head_out = d_msg // h
+    return [
+        *(ParamSpec(name, (h, d_rel, d), d, True) for name in ("w_c1", "w_c2", "w_g1", "w_g2")),
+        ParamSpec("w_c3", (h, head_out, d_s), d_s, True),
+        ParamSpec("w_g3", (h, head_out, d_msg), d_msg, True),
+        *(spec for mlp, k, o in (("station_mlp", d_s, d), ("cluster_mlp", d_msg, d),
+                                 ("area_mlp", d_msg, d), ("output_mlp", 6 * d, 1))
+          for spec in (ParamSpec(f"{mlp}.w1", (d, k), k), ParamSpec(f"{mlp}.b1", (d,), 0),
+                       ParamSpec(f"{mlp}.w2", (o, d), d), ParamSpec(f"{mlp}.b2", (o,), 0))),
+        ParamSpec("cluster_mem0", (hyper.n_clusters, d), d),
+        ParamSpec("area_mem0", (1, d), d),
+    ]
+
+
 class ModelParams:
-    """Every trainable array of the model."""
+    """Every trainable array of the model, each a view of one flat vector ``flat``
+    laid out by :func:`param_layout`; ``tensors`` holds them by layout name."""
 
-    attention: AttentionWeights
-    w_c3: Tensor  # (H, d_msg/H, d_s)
-    w_g3: Tensor  # (H, d_msg/H, d_msg)
-    station_mlp: Mlp
-    cluster_mlp: Mlp
-    area_mlp: Mlp
-    output_mlp: Mlp
-    cluster_mem0: Tensor
-    area_mem0: Tensor
+    def __init__(self, layout: list[ParamSpec], flat: np.ndarray, tensors: dict[str, Tensor]):
+        self.layout, self.flat, self.tensors = layout, flat, tensors
+        mlp = lambda group: Mlp(*(tensors[f"{group}.{p}"] for p in ("w1", "b1", "w2", "b2")))
+        self.attention = AttentionWeights(*(tensors[k] for k in ("w_c1", "w_c2", "w_g1", "w_g2")))
+        self.w_c3, self.w_g3 = tensors["w_c3"], tensors["w_g3"]  # (H, d_msg/H, d_s | d_msg)
+        self.station_mlp, self.cluster_mlp, self.area_mlp, self.output_mlp = map(
+            mlp, ("station_mlp", "cluster_mlp", "area_mlp", "output_mlp"))
+        self.cluster_mem0, self.area_mem0 = tensors["cluster_mem0"], tensors["area_mem0"]
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         """Every parameter array under its checkpoint name; each head of a stacked
         weight is a view (``w_c1.{h}`` and so on) sharing its data and gradient."""
-        out: list[tuple[str, Tensor]] = []
-        for group, stack in (("w_c1", self.attention.w_c1), ("w_c2", self.attention.w_c2),
-                             ("w_g1", self.attention.w_g1), ("w_g2", self.attention.w_g2),
-                             ("w_c3", self.w_c3), ("w_g3", self.w_g3)):
-            out.extend((f"{group}.{h}", ad.View(stack, h, f"{group}.{h}"))
-                       for h in range(stack.data.shape[0]))
-        for group, mlp in (("station_mlp", self.station_mlp), ("cluster_mlp", self.cluster_mlp),
-                           ("area_mlp", self.area_mlp), ("output_mlp", self.output_mlp)):
-            out.extend((f"{group}.{name}", t) for name, t in mlp.tensors())
-        out.append(("cluster_mem0", self.cluster_mem0))
-        out.append(("area_mem0", self.area_mem0))
-        return out
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_tensors()}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, t in self.named_tensors():
-            if name not in state:
-                raise VersionMismatch(f"missing array {name!r} in state")
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise VersionMismatch(
-                    f"array {name!r} has shape {arr.shape}, expected {t.data.shape}"
-                )
-            t.data[...] = arr
-
-
-def _param(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int,
-           name: str) -> Tensor:
-    if rng is None:
-        data = np.zeros(shape)
-    else:
-        bound = 1.0 / math.sqrt(fan_in)
-        data = rng.uniform(-bound, bound, size=shape)
-    return Tensor(data, requires_grad=True, name=name)
-
-
-def _mlp(rng, in_dim: int, hidden: int, out_dim: int, name: str) -> Mlp:
-    return Mlp(
-        w1=_param(rng, (hidden, in_dim), in_dim, f"{name}.w1"),
-        b1=Tensor(np.zeros(hidden), requires_grad=True, name=f"{name}.b1"),
-        w2=_param(rng, (out_dim, hidden), hidden, f"{name}.w2"),
-        b2=Tensor(np.zeros(out_dim), requires_grad=True, name=f"{name}.b2"),
-    )
+        return [(name, t if h is None else ad.View(t, h, name))
+                for spec in self.layout for t in (self.tensors[spec.name],)
+                for name, _, h in spec.arrays()]
 
 
 def _build_params(hyper: HyperParams, rng: np.random.Generator | None) -> ModelParams:
-    h, d, d_rel, d_msg = hyper.heads, hyper.dim, hyper.rel_dim, hyper.msg_dim
-    d_s = hyper.station_msg_dim
-    head_out = d_msg // h
-
-    return ModelParams(
-        attention=AttentionWeights(
-            w_c1=_param(rng, (h, d_rel, d), d, "w_c1"),
-            w_c2=_param(rng, (h, d_rel, d), d, "w_c2"),
-            w_g1=_param(rng, (h, d_rel, d), d, "w_g1"),
-            w_g2=_param(rng, (h, d_rel, d), d, "w_g2"),
-        ),
-        w_c3=_param(rng, (h, head_out, d_s), d_s, "w_c3"),
-        w_g3=_param(rng, (h, head_out, d_msg), d_msg, "w_g3"),
-        station_mlp=_mlp(rng, d_s, d, d, "station_mlp"),
-        cluster_mlp=_mlp(rng, d_msg, d, d, "cluster_mlp"),
-        area_mlp=_mlp(rng, d_msg, d, d, "area_mlp"),
-        output_mlp=_mlp(rng, 6 * d, d, 1, "output_mlp"),
-        cluster_mem0=_param(rng, (hyper.n_clusters, d), d, "cluster_mem0"),
-        area_mem0=_param(rng, (1, d), d, "area_mem0"),
-    )
+    """Zeros, then uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) draws in layout order
+    unless ``rng`` is None."""
+    layout = param_layout(hyper)
+    flat = np.zeros(sum(math.prod(spec.shape) for spec in layout))
+    tensors, offset = {}, 0
+    for spec in layout:
+        size = math.prod(spec.shape)
+        view = flat[offset:offset + size]
+        if rng is not None and spec.fan_in:
+            bound = 1.0 / math.sqrt(spec.fan_in)
+            view[...] = rng.uniform(-bound, bound, size=size)
+        tensors[spec.name] = Tensor(view.reshape(spec.shape), requires_grad=True, name=spec.name)
+        offset += size
+    return ModelParams(layout, flat, tensors)
 
 
 def init_params(hyper: HyperParams, seed: int) -> ModelParams:

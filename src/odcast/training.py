@@ -25,13 +25,15 @@ from .autodiff import Tensor, backward, zero_grads
 from .errors import ChecksumMismatch, EmptyTrainSplit, IoError, ShapeError, VersionMismatch
 from .events import Events, EventStream, NodeCatalog, od_matrix_series, write_csv
 from .events import batch_by_window  # noqa: F401  (perfbench traces training.batch_by_window)
-from .model import HyperParams, ModelParams, empty_params, init_params, od_loss, predict_od
+from .model import (HyperParams, ModelParams, empty_params, init_params, od_loss, param_layout,
+                    predict_od)
 from .model import step  # noqa: F401  (perfbench traces training.step)
 
 CHECKPOINT_MAGIC = b"CMODCKPT"
 # Version 2 checksums the header, the manifest and the payload; version 1,
 # still read, checksummed the payload alone.
 CHECKPOINT_VERSION = 2
+_SIZES = ("n", "dim", "msg_dim", "heads", "rel_dim", "n_clusters")
 
 
 # -- Adam ---------------------------------------------------------------
@@ -141,16 +143,16 @@ class Splits:
     @classmethod
     def from_days(cls, train_days: float, val_days: float, test_days: float, tau: float,
                   day_length: float = 86400.0) -> "Splits":
-        """Window counts of the three spans; no span may be negative, nor the day empty."""
+        """Window counts of the three spans; no span may be negative, and the day must
+        hold a whole number of windows, at least one."""
         for span, days in zip(("train", "val", "test"), (train_days, val_days, test_days)):
             if days < 0:
                 raise ValueError(f"bad value for {span}_days: {days!r} is negative")
         if day_length <= 0:
             raise ValueError(f"bad value for day_length: {day_length!r} is not positive")
-        per_day = day_length / tau
-        if abs(per_day - round(per_day)) > 1e-9:
+        per_day = round(day_length / tau)
+        if per_day < 1 or abs(day_length / tau - per_day) > 1e-9:
             raise ValueError(f"tau {tau} does not divide the day length {day_length}")
-        per_day = round(per_day)
         return cls(train_windows=round(train_days * per_day),
                    val_windows=round(val_days * per_day),
                    test_windows=round(test_days * per_day))
@@ -247,7 +249,7 @@ def train(events: Events, catalog: NodeCatalog, hyper: HyperParams, tc: TrainCon
 
     history: list[EpochStats] = []
     stopper = EarlyStopper(tc.patience)
-    best_state = params.state_dict()
+    best = params.flat.copy()
 
     for epoch in range(1, tc.max_epochs + 1):
         started = time.perf_counter()
@@ -284,11 +286,11 @@ def train(events: Events, catalog: NodeCatalog, hyper: HyperParams, tc: TrainCon
 
         should_stop = stopper.update(stats.val_mae)
         if stopper.best_epoch == epoch:
-            best_state = params.state_dict()
+            best[...] = params.flat
         if should_stop:
             break
 
-    params.load_state(best_state)
+    params.flat[...] = best
     return TrainResult(params=params, history=history, best_epoch=stopper.best_epoch,
                        best_val_mae=stopper.best, opt=opt)
 
@@ -343,10 +345,13 @@ def _read_manifest(raw: bytes) -> tuple[HyperParams, AdamState | None, list]:
         opt = None if meta is None else AdamState(
             lr=float(meta["lr"]), beta1=float(meta["beta1"]), beta2=float(meta["beta2"]),
             eps=float(meta["eps"]), step_count=int(meta["step_count"]))
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
         raise VersionMismatch(f"malformed checkpoint manifest: {exc}") from exc
     if any(s < 0 for _, shape in shapes for s in shape):
         raise VersionMismatch("malformed checkpoint manifest: negative array extent")
+    if any(type(getattr(hyper, k)) is not int for k in _SIZES):
+        raise VersionMismatch(f"malformed checkpoint manifest: {', '.join(_SIZES)} "
+                              "must be integers")
     return hyper, opt, shapes
 
 
@@ -356,7 +361,11 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState | None, HyperParams]:
     A truncated file, trailing bytes or a failed checksum raise
     :class:`ChecksumMismatch`, a wrong version or a malformed manifest
     :class:`VersionMismatch`.  Version 1 files, whose checksum covers the
-    payload alone, still load.
+    payload alone, still load.  The manifest's arrays must be those of
+    :func:`~odcast.model.param_layout` for its hyperparameters, in order,
+    then Adam moments if it has Adam state; they are compared one by one, before
+    anything is allocated, so a manifest that declares a huge model is refused
+    for what it lists, not by a failed allocation.
     """
     try:
         blob = Path(path).read_bytes()
@@ -369,7 +378,8 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState | None, HyperParams]:
     version, manifest_len = struct.unpack_from("<II", blob, 8)
     if version not in (1, CHECKPOINT_VERSION):
         raise VersionMismatch(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    if version == CHECKPOINT_VERSION and _checksum(blob[:-8]) != blob[-8:]:
+    view = memoryview(blob)
+    if version == CHECKPOINT_VERSION and _checksum(view[:-8]) != blob[-8:]:
         raise ChecksumMismatch("checkpoint failed its checksum")
     manifest_end = 16 + manifest_len
     if manifest_end > len(blob):
@@ -382,24 +392,30 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState | None, HyperParams]:
         raise ChecksumMismatch("checkpoint truncated inside the payload")
     if payload_end + 8 < len(blob):
         raise ChecksumMismatch(f"checkpoint has {len(blob) - payload_end - 8} trailing bytes")
-    payload = blob[manifest_end:payload_end]
+    payload = view[manifest_end:payload_end]
     if version == 1 and _checksum(payload) != blob[payload_end:]:
         raise ChecksumMismatch("checkpoint payload failed its checksum")
 
-    values: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in shapes:
-        count = math.prod(shape)
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset * 8)
-        values[name] = arr.reshape(shape).astype(np.float64)
-        offset += count
+    declared = iter(shapes)
+    for spec in param_layout(hyper):
+        for name, shape, _ in spec.arrays():
+            found = next(declared, None)
+            if found != (name, list(shape)):
+                raise VersionMismatch(
+                    f"checkpoint arrays do not fit its hyperparameters: expected {name!r} "
+                    f"of shape {list(shape)}, found {'none' if found is None else found}")
+    moments = list(declared)
+    for name, _ in moments:
+        if opt is None or name[:7] not in ("adam.m.", "adam.v."):
+            raise VersionMismatch(f"checkpoint array {name!r} is neither a parameter "
+                                  "nor an Adam moment")
 
     params = empty_params(hyper)
-    params.load_state({k: v for k, v in values.items() if not k.startswith("adam.")})
-    if opt is not None:
-        for key, arr in values.items():
-            if key.startswith("adam.m."):
-                opt.m[key[len("adam.m."):]] = arr.copy()
-            elif key.startswith("adam.v."):
-                opt.v[key[len("adam.v."):]] = arr.copy()
+    offset = params.flat.size
+    params.flat[...] = np.frombuffer(payload, dtype="<f8", count=offset)
+    for name, shape in moments:
+        count = math.prod(shape)
+        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset * 8)
+        getattr(opt, name[5])[name[7:]] = arr.reshape(shape).astype(np.float64)
+        offset += count
     return params, opt, hyper

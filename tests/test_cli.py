@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import re
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,17 @@ def strict_json(text):
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
     return json.loads(text, parse_constant=reject)
+
+
+def crafted_checkpoint(path, **hyper):
+    """The checkpoint at ``path`` with ``hyper`` set in its manifest, checksum recomputed."""
+    blob = path.read_bytes()
+    manifest_end = 16 + struct.unpack_from("<I", blob, 12)[0]
+    manifest = json.loads(blob[16:manifest_end])
+    manifest["hyper"].update(hyper)
+    raw = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    body = b"CMODCKPT" + struct.pack("<II", 2, len(raw)) + raw + blob[manifest_end:-8]
+    return body + hashlib.sha256(body).digest()[:8]
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +339,14 @@ PROFILES = {
       for value in NOT_POSITIVE_DAY_LENGTHS),
     *((["train", "--events", "{events}", "--catalog", "{catalog}", "--lr", value], 2,
        "UsageError") for value in ("0", "-1")),
+    (["predict", "--checkpoint", "{checkpoint}", "--events", "{events}", "--catalog",
+      "{catalog}", "--out", "{tmp}/dim.json/pred.csv"], 1, "IoError"),
+    (["train", "--events", "{events}", "--catalog", "{catalog}", "--day-length", "1e-300"], 2,
+     "UsageError"),
+    (["evaluate", "--checkpoint", "{checkpoint}", "--events", "{events}", "--catalog",
+      "{catalog}", "--day-length", "1e-300", "--out", "{tmp}/eval"], 2, "UsageError"),
+    (["predict", "--checkpoint", "{tmp}/huge-dim.ckpt", "--events", "{events}", "--catalog",
+      "{catalog}", "--out", "{tmp}/pred.csv"], 1, "VersionMismatch"),
 ], ids=["missing-events", "missing-catalog", "zero-heads", "tau-not-dividing-day",
         "node-out-of-range", "zero-cap", "non-integer-config-value", "t0-after-first-event",
         "non-utf8-events", *TRAIN_CONFIGS, "tau-flag-too-many-windows", *PROFILES,
@@ -336,13 +357,18 @@ PROFILES = {
         "evaluate-zero-test-windows", *NODE_LISTS, "nodes-empty-flag", *TRAIN_FLAGS,
         "predict-seed-flag", "zero-n-without-catalog", "neither-catalog-nor-n",
         *(f"{command}-day-length-{value}" for command in ("train", "evaluate")
-          for value in NOT_POSITIVE_DAY_LENGTHS), "zero-lr", "negative-lr"])
+          for value in NOT_POSITIVE_DAY_LENGTHS), "zero-lr", "negative-lr",
+        "predict-out-under-a-file", "train-day-shorter-than-tau",
+        "evaluate-day-shorter-than-tau", "predict-huge-dim-checkpoint"])
 def test_bad_input_is_one_line_error(tmp_path, capsys, monkeypatch, synth_dir, trained_dir, argv,
                                      code, error):
-    def never(**kwargs):  # grad-check reports an unwritable --out before its check runs
-        raise AssertionError("the gradient check ran")
+    def never(*args, **kwargs):  # each refusal comes before any check or step runs
+        raise AssertionError("the work ran")
 
     monkeypatch.setattr(checks, "toy_gradient_check", never)
+    monkeypatch.setattr(evaluation, "step", never)
+    (tmp_path / "huge-dim.ckpt").write_bytes(
+        crafted_checkpoint(trained_dir / "checkpoint.bin", dim=10**10))
     (tmp_path / "dim.json").write_text(json.dumps({"dim": "abc"}))
     for name, config in {**TRAIN_CONFIGS, **PROFILES, **NODE_LISTS}.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))

@@ -1,5 +1,7 @@
 import math
+import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ import pytest
 from odcast import autodiff as ad
 from odcast.autodiff import Tensor, backward, grad_of, zero_grads
 from odcast.events import EventBatch, NodeCatalog, TransactionEvent
-from odcast.model import (HyperParams, MemoryBank, init_params, od_loss, predict_od, step)
+from odcast.model import (HyperParams, MemoryBank, init_params, od_loss, param_layout,
+                          predict_od, step)
+from odcast.training import load_checkpoint
 
 
 def ev(o, d, t):
@@ -41,6 +45,39 @@ def random_batch(rng, hyper, count, start, end):
     events = tuple(ev(int(rng.integers(0, hyper.n)), int(rng.integers(0, hyper.n)),
                       float(t)) for t in times)
     return EventBatch(events, start, end)
+
+
+def address(array):
+    return array.__array_interface__["data"][0]
+
+
+class TestParamLayout:
+    @pytest.mark.parametrize("hyper", [tiny_hyper(), toy_hyper(), toy_hyper(no_multilevel=True),
+                                       toy_hyper(heads=4, msg_dim=8, rel_dim=3, n_clusters=3)],
+                             ids=["tiny", "toy", "toy-no-ml", "four-heads"])
+    def test_named_arrays_tile_the_flat_vector_in_order(self, hyper):
+        params = init_params(hyper, 3)
+        named = params.named_tensors()
+        assert [name for name, _ in named] == [name for spec in param_layout(hyper)
+                                               for name, _, _ in spec.arrays()]
+        offset = 0
+        for name, tensor in named:
+            assert tensor.data.flags.c_contiguous and not tensor.data.flags.owndata, name
+            assert address(tensor.data) == address(params.flat) + 8 * offset, name
+            offset += tensor.data.size
+        assert offset == params.flat.size
+        for spec in param_layout(hyper):  # the stacks the model steps with are the same views
+            tensor = params.tensors[spec.name]
+            assert tensor.data.shape == spec.shape and np.shares_memory(tensor.data, params.flat)
+
+    @pytest.mark.parametrize("file, seed", [("checkpoint_v1.ckpt", 0), ("checkpoint_v2.ckpt", 5)])
+    def test_fixture_checkpoints_fill_the_flat_vector_bit_exactly(self, file, seed):
+        path = Path(__file__).parent / "data" / file
+        params, _, hyper = load_checkpoint(path)
+        blob = path.read_bytes()
+        start = 16 + struct.unpack_from("<I", blob, 12)[0]
+        assert params.flat.tobytes() == blob[start:start + 8 * params.flat.size]
+        assert params.flat.tobytes() == init_params(hyper, seed).flat.tobytes()
 
 
 class TestInitParams:

@@ -2,11 +2,14 @@ import hashlib
 import json
 import math
 import struct
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odcast.autodiff import Tensor
 from odcast.errors import (ChecksumMismatch, EmptyTrainSplit, IoError, OdcastError,
@@ -116,6 +119,11 @@ class TestSplits:
         with pytest.raises(ValueError):
             Splits.from_days(1, 1, 1, tau=7000.0)
 
+    @pytest.mark.parametrize("day_length", [1e-300, 1e-7, 899.0])
+    def test_rejects_day_shorter_than_one_window(self, day_length):
+        with pytest.raises(ValueError, match="does not divide"):
+            Splits.from_days(1, 1, 1, tau=1800.0, day_length=day_length)
+
 
 def constant_pair_stream(count_per_window, windows, tau=60.0):
     """Deterministic stream: exactly c evenly spaced 0->1 trips per window."""
@@ -185,6 +193,22 @@ class TestTrainLoop:
         result = train(events, catalog, hyper, tc)
         assert result.best_val_mae == min(s.val_mae for s in result.history)
 
+    def test_returns_the_best_epochs_parameters(self):
+        events = constant_pair_stream(3, 36)
+        catalog = NodeCatalog(n=2)
+        hyper = small_hyper()
+        splits = Splits(train_windows=30, val_windows=6)
+
+        def run(max_epochs):
+            tc = TrainConfig(max_epochs=max_epochs, splits=splits, patience=max_epochs,
+                             lr=0.05, seed=2, t0=0.0)
+            return train(events, catalog, hyper, tc)
+
+        full = run(8)
+        assert full.best_epoch < len(full.history)  # later epochs moved the parameters on
+        # Epochs are deterministic, so a run that stops at the best epoch ends on its parameters.
+        assert run(full.best_epoch).params.flat.tobytes() == full.params.flat.tobytes()
+
     def test_history_file_format(self, tmp_path):
         events = constant_pair_stream(2, 24)
         catalog = NodeCatalog(n=2)
@@ -201,6 +225,17 @@ class TestTrainLoop:
 
 def manifest_of(blob: bytes) -> dict:
     return json.loads(blob[16:16 + struct.unpack_from("<I", blob, 12)[0]])
+
+
+def payload_of(blob: bytes) -> bytes:
+    return blob[16 + struct.unpack_from("<I", blob, 12)[0]:-8]
+
+
+def v2_checkpoint(manifest: dict, payload: bytes) -> bytes:
+    """A version 2 checkpoint file holding ``manifest``, its checksum recomputed."""
+    raw = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    body = b"CMODCKPT" + struct.pack("<II", 2, len(raw)) + raw + payload
+    return body + hashlib.sha256(body).digest()[:8]
 
 
 def v1_checkpoint(manifest: bytes, payload: bytes) -> bytes:
@@ -298,11 +333,41 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_shape_mismatch_is_version_class_error(self, tmp_path):
-        hyper = small_hyper(n=3)
-        params = init_params(hyper, 0)
-        other = init_params(small_hyper(n=3, dim=8, msg_dim=8), 0)
-        with pytest.raises(VersionMismatch):
-            params.load_state(other.state_dict())
+        # The arrays of a dim=8 model under the hyperparameters of a dim=6 one.
+        other = small_hyper(n=3, dim=8, msg_dim=8)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(other, 0), None, other, path)
+        blob = path.read_bytes()
+        manifest = manifest_of(blob)
+        manifest["hyper"].update(dim=6, msg_dim=6)
+        path.write_bytes(v2_checkpoint(manifest, payload_of(blob)))
+        with pytest.raises(VersionMismatch, match="expected 'w_c1.0' of shape \\[2, 6\\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["heads", "rel_dim"])
+    def test_size_that_is_not_an_integer_is_version_mismatch(self, tmp_path, key):
+        blob = (Path(__file__).parent / "data" / "checkpoint_v2.ckpt").read_bytes()
+        manifest = manifest_of(blob)
+        manifest["hyper"][key] = 2.0  # equal to the stored 2, so the shapes would match
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(v2_checkpoint(manifest, payload_of(blob)))
+        with pytest.raises(VersionMismatch, match="must be integers"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [{"dim": 10**10}, {"n": 10**10},
+                                      {"heads": 10**9, "msg_dim": 10**9}],
+                             ids=["dim", "n", "heads-and-msg-dim"])
+    def test_manifest_declaring_a_huge_model_is_refused_before_allocating(self, tmp_path, edit):
+        blob = (Path(__file__).parent / "data" / "checkpoint_v2.ckpt").read_bytes()
+        manifest = manifest_of(blob)
+        del manifest["hyper"]["feat_dim"]
+        manifest["hyper"].update(edit)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(v2_checkpoint(manifest, payload_of(blob)))
+        started = time.perf_counter()
+        with pytest.raises(VersionMismatch, match="do not fit its hyperparameters"):
+            load_checkpoint(path)
+        assert time.perf_counter() - started < 1.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
@@ -401,13 +466,10 @@ class TestCheckpoints:
 
     def test_feat_dim_other_than_node_count_is_version_mismatch(self, tmp_path):
         blob = (Path(__file__).parent / "data" / "checkpoint_v2.ckpt").read_bytes()
-        manifest_end = 16 + struct.unpack_from("<I", blob, 12)[0]
         manifest = manifest_of(blob)
         manifest["hyper"]["feat_dim"] = 4
-        raw = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        body = b"CMODCKPT" + struct.pack("<II", 2, len(raw)) + raw + blob[manifest_end:-8]
         path = tmp_path / "model.ckpt"
-        path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+        path.write_bytes(v2_checkpoint(manifest, payload_of(blob)))
         with pytest.raises(VersionMismatch, match="one-hot"):
             load_checkpoint(path)
 
@@ -435,3 +497,82 @@ class TestCheckpoints:
             except Exception as exc:  # noqa: BLE001 - every other class is a finding
                 escapes.append(type(exc).__name__)
         assert escapes == []
+
+
+# -- crafted manifests ------------------------------------------------------
+
+MUTATIONS = ("hyper", "heads", "reorder", "shorten", "extend", "resize", "adam-null",
+             "truncate")
+
+
+@pytest.fixture(scope="module")
+def base_checkpoint(tmp_path_factory):
+    """A two-head checkpoint with Adam moments for every parameter, and a directory."""
+    hyper = HyperParams(n=3, dim=4, msg_dim=4, heads=2, rel_dim=2, n_clusters=2, tau=60.0,
+                        decay_rate=0.01)
+    params = init_params(hyper, 0)
+    opt = AdamState(lr=0.01, step_count=1)
+    for name, tensor in params.named_tensors():
+        opt.m[name], opt.v[name] = tensor.data * 0.5, tensor.data ** 2
+    out = tmp_path_factory.mktemp("crafted")
+    save_checkpoint(params, opt, hyper, out / "base.ckpt")
+    return (out / "base.ckpt").read_bytes(), out
+
+
+@st.composite
+def crafted(draw, blob):
+    """``blob`` with one to three manifest edits, its payload optionally cut to fit the
+    declared arrays, and the checksum recomputed; ``truncate`` then cuts the file."""
+    manifest, payload = manifest_of(blob), payload_of(blob)
+    kinds = draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3))
+    for kind in kinds:
+        arrays = manifest["arrays"]
+        if kind == "hyper":
+            key = draw(st.sampled_from(sorted(manifest["hyper"])))
+            manifest["hyper"][key] = draw(st.sampled_from([0, -1, -10**10, 10**10, 10**400,
+                                                            2.0, True, None]))
+        elif kind == "heads":
+            manifest["hyper"].update(heads=10**9, msg_dim=10**9)
+        elif kind == "reorder" and arrays:
+            manifest["arrays"] = draw(st.permutations(arrays))
+        elif kind == "shorten" and arrays:
+            del arrays[draw(st.integers(0, len(arrays) - 1))]
+        elif kind == "extend":
+            name = draw(st.sampled_from(["extra", "adam.m.extra", "adam.v.w_c1.0", "w_c1.2"]))
+            shape = draw(st.lists(st.integers(0, 4), max_size=3))
+            arrays.insert(draw(st.integers(0, len(arrays))), [name, shape])
+        elif kind == "resize" and arrays:
+            _, shape = draw(st.sampled_from(arrays))
+            if shape:
+                shape[draw(st.integers(0, len(shape) - 1))] = draw(
+                    st.sampled_from([0, 1, 3, 10**10]))
+        elif kind == "adam-null":
+            manifest["adam"] = None
+    cells = sum(math.prod(shape) for _, shape in manifest["arrays"])
+    if cells <= 10**5 and draw(st.booleans()):
+        payload = (payload + bytes(8 * cells))[:8 * cells]
+    out = v2_checkpoint(manifest, payload)
+    if "truncate" in kinds:
+        out = out[:draw(st.integers(0, len(out) - 1))]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_crafted_manifest_loads_or_is_one_error_quickly_and_small(base_checkpoint, data):
+    blob, out = base_checkpoint
+    blob = data.draw(crafted(blob))
+    path = out / "model.ckpt"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        load_checkpoint(path)
+    except OdcastError:
+        pass
+    finally:
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 4 * len(blob) + 2**18
