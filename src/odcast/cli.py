@@ -179,12 +179,13 @@ def _load_stream(rc: RunConfig, n: int | None):
 
 
 def _load_model_stream(rc: RunConfig):
-    """``--checkpoint`` model plus the ``--events`` stream sized by its node count."""
+    """``--checkpoint`` model, refused like ``train``'s flags if its use would build a
+    too-big array, plus the ``--events`` stream sized by its node count."""
     ckpt = rc.get("checkpoint")
     if not ckpt:
         raise UsageError("--checkpoint is required")
     params, _, hyper = load_checkpoint(ckpt)
-    events, catalog = _load_stream(rc, hyper.n)
+    events, catalog = _load_stream(rc, _sized(hyper).n)
     return params, hyper, events, catalog
 
 

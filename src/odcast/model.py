@@ -121,17 +121,31 @@ def param_layout(hyper: HyperParams) -> list[ParamSpec]:
 
 
 class ModelParams:
-    """Every trainable array of the model, each a view of one flat vector ``flat``
-    laid out by :func:`param_layout`; ``tensors`` holds them by layout name."""
+    """Every trainable array of the model, each a view of one zeroed flat vector
+    ``flat`` laid out by :func:`param_layout`; ``tensors`` holds them by layout name."""
 
-    def __init__(self, layout: list[ParamSpec], flat: np.ndarray, tensors: dict[str, Tensor]):
-        self.layout, self.flat, self.tensors = layout, flat, tensors
+    def __init__(self, layout: list[ParamSpec]):
+        self.layout = layout
+        self.flat = np.zeros(sum(math.prod(spec.shape) for spec in layout))
+        self.tensors = tensors = {spec.name: Tensor(view, requires_grad=True, name=spec.name)
+                                  for spec, view in self.views(self.flat)}
         mlp = lambda group: Mlp(*(tensors[f"{group}.{p}"] for p in ("w1", "b1", "w2", "b2")))
         self.attention = AttentionWeights(*(tensors[k] for k in ("w_c1", "w_c2", "w_g1", "w_g2")))
         self.w_c3, self.w_g3 = tensors["w_c3"], tensors["w_g3"]  # (H, d_msg/H, d_s | d_msg)
         self.station_mlp, self.cluster_mlp, self.area_mlp, self.output_mlp = map(
             mlp, ("station_mlp", "cluster_mlp", "area_mlp", "output_mlp"))
         self.cluster_mem0, self.area_mem0 = tensors["cluster_mem0"], tensors["area_mem0"]
+
+    def views(self, vector: np.ndarray) -> list[tuple[ParamSpec, np.ndarray]]:
+        """Each layout entry with its view of ``vector``, a vector laid out like ``flat``."""
+        ends = np.cumsum([math.prod(spec.shape) for spec in self.layout])[:-1]
+        return [(spec, part.reshape(spec.shape))
+                for spec, part in zip(self.layout, np.split(vector, ends))]
+
+    def named_views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of ``vector``, a vector laid out like ``flat``, under the checkpoint names."""
+        return {name: view if h is None else view[h]
+                for spec, view in self.views(vector) for name, _, h in spec.arrays()}
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         """Every parameter array under its checkpoint name; each head of a stacked
@@ -141,32 +155,21 @@ class ModelParams:
                 for name, _, h in spec.arrays()]
 
 
-def _build_params(hyper: HyperParams, rng: np.random.Generator | None) -> ModelParams:
-    """Zeros, then uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) draws in layout order
-    unless ``rng`` is None."""
-    layout = param_layout(hyper)
-    flat = np.zeros(sum(math.prod(spec.shape) for spec in layout))
-    tensors, offset = {}, 0
-    for spec in layout:
-        size = math.prod(spec.shape)
-        view = flat[offset:offset + size]
-        if rng is not None and spec.fan_in:
-            bound = 1.0 / math.sqrt(spec.fan_in)
-            view[...] = rng.uniform(-bound, bound, size=size)
-        tensors[spec.name] = Tensor(view.reshape(spec.shape), requires_grad=True, name=spec.name)
-        offset += size
-    return ModelParams(layout, flat, tensors)
-
-
 def init_params(hyper: HyperParams, seed: int) -> ModelParams:
-    """Seeded parameter initialization: uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)),
-    biases zero.  Deterministic given the seed."""
-    return _build_params(hyper, np.random.default_rng(seed))
+    """Seeded parameter initialization: uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))
+    draws in layout order, biases zero.  Deterministic given the seed."""
+    rng = np.random.default_rng(seed)
+    params = ModelParams(param_layout(hyper))
+    for spec, view in params.views(params.flat):
+        if spec.fan_in:
+            bound = 1.0 / math.sqrt(spec.fan_in)
+            view[...] = rng.uniform(-bound, bound, size=spec.shape)
+    return params
 
 
 def empty_params(hyper: HyperParams) -> ModelParams:
     """All-zero parameter arrays with the right shapes (checkpoint loading)."""
-    return _build_params(hyper, None)
+    return ModelParams(param_layout(hyper))
 
 
 class MemoryBank:

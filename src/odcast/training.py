@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import evaluation
-from .autodiff import Tensor, backward, zero_grads
+from .autodiff import backward, grad_of, zero_grads
 from .errors import ChecksumMismatch, EmptyTrainSplit, IoError, ShapeError, VersionMismatch
 from .events import Events, EventStream, NodeCatalog, od_matrix_series, write_csv
 from .events import batch_by_window  # noqa: F401  (perfbench traces training.batch_by_window)
@@ -41,14 +41,11 @@ _SIZES = ("n", "dim", "msg_dim", "heads", "rel_dim", "n_clusters")
 
 @dataclass
 class AdamState:
-    """Adam moments as two flat vectors in the order of the first step's parameters.
-
-    ``m[name]`` and ``v[name]`` are views into them.  Moments set by name before
-    that step, as a loaded checkpoint does, are copied in when they are built.
-    Two flat work buffers of the same length serve every step, so that a step
-    allocates no parameter-sized array (the heap would trim such arrays and
-    fault them back in on every step).
-    """
+    """Adam's settings and moments.  :meth:`attach` lays ``flat_m`` and ``flat_v`` out
+    like a model's ``ModelParams.flat``, with ``m[name]`` and ``v[name]`` their views
+    under the checkpoint names, and sizes the two work buffers that every step reuses,
+    so that a step allocates no parameter-sized array (the heap would trim such arrays
+    and fault them back in on every step)."""
 
     lr: float = 1e-4
     beta1: float = 0.9
@@ -59,52 +56,32 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
     flat_m: np.ndarray | None = field(default=None, repr=False)
     flat_v: np.ndarray | None = field(default=None, repr=False)
-    flat_g: np.ndarray | None = field(default=None, repr=False)
-    scratch: np.ndarray | None = field(default=None, repr=False)
+
+    def attach(self, params: ModelParams) -> "AdamState":
+        """Zero moments laid out like ``params.flat``; returns the state."""
+        self.flat_m, self.flat_v = np.zeros(params.flat.size), np.zeros(params.flat.size)
+        self.m, self.v = params.named_views(self.flat_m), params.named_views(self.flat_v)
+        self._work = np.empty((2, params.flat.size))  # the gradient, then scratch
+        return self
 
 
-def _flat_views(flat: np.ndarray, params: Sequence[tuple[str, Tensor]]) -> list[np.ndarray]:
-    """Consecutive views of ``flat``, one shaped like each parameter."""
-    views, offset = [], 0
-    for _, tensor in params:
-        views.append(flat[offset:offset + tensor.data.size].reshape(tensor.data.shape))
-        offset += tensor.data.size
-    return views
-
-
-def adam_step(params: Sequence[tuple[str, Tensor]], opt: AdamState) -> AdamState:
-    """One bias-corrected Adam update, written in place into the parameter arrays.
-
-    The gradients are those accumulated on the tensors (``tensor.grad``) by
-    the last backward pass.  The update runs as in-place vector ops on the
-    flat moments and work buffers.
-    """
-    names = [name for name, _ in params]
-    if opt.flat_m is None or list(opt.m) != names:
-        for key in ("m", "v"):
-            flat = np.zeros(sum(tensor.data.size for _, tensor in params))
-            views = dict(zip(names, _flat_views(flat, params)))
-            for name, moment in getattr(opt, key).items():
-                if name in views:
-                    views[name][...] = moment
-            setattr(opt, f"flat_{key}", flat)
-            setattr(opt, key, views)
-        opt.flat_g, opt.scratch = np.empty_like(opt.flat_m), np.empty_like(opt.flat_m)
-    g = opt.flat_g
-    g.fill(0.0)
-    parts = _flat_views(g, params)
-    for (name, tensor), part in zip(params, parts):
-        if tensor.grad is None:
-            continue  # backward did not reach it: a zero gradient
-        grad = np.asarray(tensor.grad, dtype=float)
-        if grad.shape != part.shape:
+def adam_step(params: ModelParams, opt: AdamState) -> AdamState:
+    """One bias-corrected Adam update of ``params.flat``, in place, from the gradients
+    the last backward pass left on its tensors (zero where it did not reach).  ``opt``
+    must be attached to ``params``; the update runs as in-place vector ops on the flat
+    moments and work buffers."""
+    g, scratch = opt._work
+    grads = []
+    for name, tensor in params.tensors.items():
+        grad = grad_of(tensor)
+        if grad.shape != tensor.data.shape:
             raise ShapeError(f"gradient for {name!r} has shape {grad.shape}, "
-                             f"parameter has {part.shape}")
-        part[...] = grad
+                             f"parameter has {tensor.data.shape}")
+        grads.append(grad.ravel())
+    np.concatenate(grads, out=g)
     opt.step_count += 1
     t = opt.step_count
     m, v = opt.flat_m, opt.flat_v
-    scratch = opt.scratch
     m *= opt.beta1
     m += np.multiply(g, 1.0 - opt.beta1, out=scratch)                  # b1 m + (1 - b1) g
     v *= opt.beta2
@@ -114,8 +91,7 @@ def adam_step(params: Sequence[tuple[str, Tensor]], opt: AdamState) -> AdamState
     step = np.divide(m, 1.0 - opt.beta1 ** t, out=g)  # g is spent: reuse it
     step *= opt.lr
     step /= denom                                      # lr m_hat / (sqrt(v_hat) + eps)
-    for (_, tensor), update in zip(params, parts):  # the views of g now hold the step
-        tensor.data -= update
+    params.flat -= step
     return opt
 
 
@@ -244,8 +220,7 @@ def train(events: Events, catalog: NodeCatalog, hyper: HyperParams, tc: TrainCon
     replay = evaluation.Replay(params, events, catalog, hyper, tc.t0, windows=walk_windows - 1)
     truths = od_matrix_series(events, replay.t0, hyper.tau, walk_windows, hyper.n)
 
-    named = params.named_tensors()
-    opt = AdamState(lr=tc.lr)
+    opt = AdamState(lr=tc.lr).attach(params)
 
     history: list[EpochStats] = []
     stopper = EarlyStopper(tc.patience)
@@ -263,8 +238,8 @@ def train(events: Events, catalog: NodeCatalog, hyper: HyperParams, tc: TrainCon
                 pred = predict_od(result.z, params)
                 loss = od_loss(pred.raw, truths[target], mse_loss=hyper.mse_loss)
                 backward(loss)
-                adam_step(named, opt)
-                zero_grads(t for _, t in named)
+                adam_step(params, opt)
+                zero_grads(params.tensors.values())
                 train_losses.append(loss.item())
             else:
                 pred = predict_od(result.z, params)
@@ -363,9 +338,11 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState | None, HyperParams]:
     :class:`VersionMismatch`.  Version 1 files, whose checksum covers the
     payload alone, still load.  The manifest's arrays must be those of
     :func:`~odcast.model.param_layout` for its hyperparameters, in order,
-    then Adam moments if it has Adam state; they are compared one by one, before
-    anything is allocated, so a manifest that declares a huge model is refused
-    for what it lists, not by a failed allocation.
+    then Adam moments if it has Adam state: none, or one ``adam.m.<name>`` and one
+    ``adam.v.<name>`` per parameter array, shaped like it, which fill the moments
+    of a state attached to the loaded model.  They are compared before anything
+    is allocated, so a manifest that declares a huge model is refused for what
+    it lists, not by a failed allocation.
     """
     try:
         blob = Path(path).read_bytes()
@@ -396,7 +373,7 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState | None, HyperParams]:
     if version == 1 and _checksum(payload) != blob[payload_end:]:
         raise ChecksumMismatch("checkpoint payload failed its checksum")
 
-    declared = iter(shapes)
+    declared, arrays = iter(shapes), []
     for spec in param_layout(hyper):
         for name, shape, _ in spec.arrays():
             found = next(declared, None)
@@ -404,18 +381,21 @@ def load_checkpoint(path) -> tuple[ModelParams, AdamState | None, HyperParams]:
                 raise VersionMismatch(
                     f"checkpoint arrays do not fit its hyperparameters: expected {name!r} "
                     f"of shape {list(shape)}, found {'none' if found is None else found}")
-    moments = list(declared)
-    for name, _ in moments:
-        if opt is None or name[:7] not in ("adam.m.", "adam.v."):
-            raise VersionMismatch(f"checkpoint array {name!r} is neither a parameter "
-                                  "nor an Adam moment")
+            arrays.append(found)
+    moments = sorted(declared)
+    if moments and (opt is None or moments != sorted(
+            (f"adam.{k}.{name}", shape) for k in "mv" for name, shape in arrays)):
+        raise VersionMismatch("checkpoint arrays after the parameters are not Adam state's "
+                              "one adam.m.<name> and adam.v.<name> per parameter array")
 
     params = empty_params(hyper)
     offset = params.flat.size
     params.flat[...] = np.frombuffer(payload, dtype="<f8", count=offset)
-    for name, shape in moments:
+    if moments:
+        opt.attach(params)
+    for name, shape in shapes[len(arrays):]:  # in file order: sorted by name, m before v
         count = math.prod(shape)
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset * 8)
-        getattr(opt, name[5])[name[7:]] = arr.reshape(shape).astype(np.float64)
+        getattr(opt, name[5])[name[7:]][...] = np.frombuffer(
+            payload, dtype="<f8", count=count, offset=offset * 8).reshape(shape)
         offset += count
     return params, opt, hyper

@@ -3,8 +3,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +17,9 @@ from hypothesis import strategies as st
 from odcast import checks, cli, evaluation
 from odcast.cli import COMMANDS, RunConfig, main, typed
 from odcast.errors import UsageError
-from odcast.model import HyperParams
+from odcast.model import HyperParams, empty_params
 from odcast.synthesis import RateSegment
-from odcast.training import Splits, TrainConfig, load_checkpoint
+from odcast.training import Splits, TrainConfig, load_checkpoint, save_checkpoint
 
 
 def run(*argv):
@@ -283,6 +287,19 @@ PROFILES = {
 }
 
 
+#: Commands that load a checkpoint; each refuses one too big to run as ``train`` would.
+OVERSIZED_COMMANDS = ("predict", "evaluate", "export-reps", "export-relations")
+
+
+@pytest.fixture(scope="module")
+def oversized_checkpoint(tmp_path_factory):
+    """A 2.4 MB checkpoint whose relation logits would be 64 x 4096 x 4096 cells (8 GiB)."""
+    hyper = HyperParams(n=4096, dim=4, msg_dim=64, heads=64, rel_dim=1, n_clusters=4096)
+    path = tmp_path_factory.mktemp("oversized") / "checkpoint.bin"
+    save_checkpoint(empty_params(hyper), None, hyper, path)
+    return path
+
+
 @pytest.mark.parametrize("argv, code, error", [
     (["train", "--events", "{tmp}/missing.csv", "--n", "4"], 1, "IoError"),
     (["train", "--events", "{events}", "--catalog", "{tmp}/missing.csv"], 1, "IoError"),
@@ -347,6 +364,9 @@ PROFILES = {
       "{catalog}", "--day-length", "1e-300", "--out", "{tmp}/eval"], 2, "UsageError"),
     (["predict", "--checkpoint", "{tmp}/huge-dim.ckpt", "--events", "{events}", "--catalog",
       "{catalog}", "--out", "{tmp}/pred.csv"], 1, "VersionMismatch"),
+    *(([command, "--checkpoint", "{oversized}", "--events", "{events}", "--catalog",
+        "{catalog}", "--out", f"{{tmp}}/{command}-out"], 2, "UsageError")
+      for command in OVERSIZED_COMMANDS),
 ], ids=["missing-events", "missing-catalog", "zero-heads", "tau-not-dividing-day",
         "node-out-of-range", "zero-cap", "non-integer-config-value", "t0-after-first-event",
         "non-utf8-events", *TRAIN_CONFIGS, "tau-flag-too-many-windows", *PROFILES,
@@ -359,9 +379,10 @@ PROFILES = {
         *(f"{command}-day-length-{value}" for command in ("train", "evaluate")
           for value in NOT_POSITIVE_DAY_LENGTHS), "zero-lr", "negative-lr",
         "predict-out-under-a-file", "train-day-shorter-than-tau",
-        "evaluate-day-shorter-than-tau", "predict-huge-dim-checkpoint"])
-def test_bad_input_is_one_line_error(tmp_path, capsys, monkeypatch, synth_dir, trained_dir, argv,
-                                     code, error):
+        "evaluate-day-shorter-than-tau", "predict-huge-dim-checkpoint",
+        *(f"{command}-oversized-checkpoint" for command in OVERSIZED_COMMANDS)])
+def test_bad_input_is_one_line_error(tmp_path, capsys, monkeypatch, synth_dir, trained_dir,
+                                     oversized_checkpoint, argv, code, error):
     def never(*args, **kwargs):  # each refusal comes before any check or step runs
         raise AssertionError("the work ran")
 
@@ -374,11 +395,14 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, monkeypatch, synth_dir, t
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     (tmp_path / "latin1.csv").write_bytes(b"origin,destination,timestamp\n0,1,1.0\n\xe9,1,2.0\n")
     paths = {"tmp": tmp_path, "events": synth_dir / "events.csv",
-             "catalog": synth_dir / "catalog.csv", "checkpoint": trained_dir / "checkpoint.bin"}
+             "catalog": synth_dir / "catalog.csv", "checkpoint": trained_dir / "checkpoint.bin",
+             "oversized": oversized_checkpoint}
     capsys.readouterr()
     assert run(*(arg.format(**paths) for arg in argv)) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{error}: ")
+    if "{oversized}" in argv:
+        assert re.search(r"relation logits .* more than 67108864 cells$", lines[0])
 
 
 # Walk settings the library refuses, each before the walk's first step.
@@ -669,3 +693,19 @@ def test_flag_text_is_typed_by_the_file_rules(paths, command, key, value, typed_
     else:
         assert code is None and recorded[-1][key] == typed_value
         assert type(recorded[-1][key]) is type(typed_value)
+
+
+def test_module_entry_point_runs_and_refuses_in_one_line():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+
+    def odcast(*argv):
+        return subprocess.run([sys.executable, "-m", "odcast", *argv], capture_output=True,
+                              text=True, env=env, timeout=300)
+
+    checked = odcast("grad-check", "--toy")
+    assert checked.returncode == 0 and "[OK]" in checked.stdout
+    refused = odcast("predict")  # no --checkpoint
+    assert refused.returncode == 2
+    assert refused.stderr.splitlines() == ["UsageError: --checkpoint is required"]

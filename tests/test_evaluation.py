@@ -234,6 +234,40 @@ class TestPredictWalk:
                     expected[ev.origin, ev.destination] += 1.0
             assert np.array_equal(p.actual, expected)
 
+    def test_doubling_the_stream_at_most_doubles_the_walk_work(self, monkeypatch):
+        # Deterministic work counts, not timings: model steps, and the event rows handed
+        # to build_od_matrix for the actuals, wrapped under the names the walk calls.
+        hyper, params, catalog = tiny_model()
+        span, cap = 24 * hyper.tau, 3
+        events = tiny_stream(3, 24, seed=8, rate=9)
+        doubled = events + [TransactionEvent(ev.origin, ev.destination, ev.timestamp + span)
+                            for ev in events]
+        work = {}
+
+        def counted(name, function, units):
+            def wrapper(*args, **kwargs):
+                work[name] += units(*args)
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evaluation, "step", counted("steps", evaluation.step, lambda *_: 1))
+        monkeypatch.setattr(evaluation, "build_od_matrix", counted(
+            "rows", evaluation.build_od_matrix, lambda rows, *_: len(rows)))
+
+        def walk(stream):
+            work.update(steps=0, rows=0)
+            predict_walk(params, stream, catalog, hyper, t0=0.0, cap=cap)
+            return work["steps"], work["rows"]
+
+        steps, rows = walk(events)
+        doubled_steps, doubled_rows = walk(doubled)
+        per_window = np.bincount([int(ev.timestamp // hyper.tau) for ev in events]).max()
+        assert steps > 24 and rows > 0
+        # Give or take one window: its batches, and the events of its target window
+        # (which, ending off the tau grid, can overlap two windows).
+        assert doubled_steps <= 2 * steps + math.ceil(per_window / cap)
+        assert doubled_rows <= 2 * rows + 2 * per_window
+
     def test_csv_dump(self, tmp_path):
         hyper, params, catalog = tiny_model()
         events = tiny_stream(3, 3, seed=2)

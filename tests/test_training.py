@@ -11,79 +11,150 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odcast.autodiff import Tensor
+from odcast.autodiff import grad_of
 from odcast.errors import (ChecksumMismatch, EmptyTrainSplit, IoError, OdcastError,
                            ShapeError, VersionMismatch)
 from odcast.events import TransactionEvent, NodeCatalog
-from odcast.model import HyperParams, init_params
+from odcast.model import HyperParams, init_params, param_layout
 from odcast.training import (AdamState, EarlyStopper, Splits, TrainConfig, adam_step,
                              load_checkpoint, save_checkpoint, train, write_history)
 
 
-def scalar_param(value, name="theta"):
-    return Tensor(np.array([value]), requires_grad=True, name=name)
+#: The smallest model: 24 arrays of at most 6 cells, 33 in all.
+TINY = HyperParams(n=1, dim=1, msg_dim=1, heads=1, rel_dim=1, n_clusters=1)
 
 
-def with_grad(tensor, grad):
-    """``[(name, tensor)]`` for adam_step, with ``grad`` as the tensor's gradient."""
-    tensor.grad = np.asarray(grad, dtype=float)
-    return [(tensor.name, tensor)]
+def with_grads(params, grad):
+    """``params``, each tensor's gradient ``grad`` (a value or a name -> value map; a
+    name left out, or None, has no gradient)."""
+    for name, tensor in params.tensors.items():
+        value = grad.get(name) if isinstance(grad, dict) else grad
+        tensor.grad = None if value is None else np.broadcast_to(
+            np.asarray(value, dtype=float), tensor.data.shape).copy()
+    return params
+
+
+def attached(params, **settings):
+    return AdamState(**settings).attach(params)
+
+
+def reference_adam(arrays, m, v, grads, t, opt):
+    """One Adam step array by array, each op in the order the flat update runs it;
+    ``arrays``, ``m`` and ``v`` map checkpoint names to arrays, replaced by the results."""
+    for name, param in arrays.items():
+        g = grads[name]
+        m[name] = m[name] * opt.beta1 + g * (1.0 - opt.beta1)
+        v[name] = v[name] * opt.beta2 + (g * (1.0 - opt.beta2)) * g
+        denom = np.sqrt(v[name] / (1.0 - opt.beta2 ** t)) + opt.eps
+        arrays[name] = param - m[name] / (1.0 - opt.beta1 ** t) * opt.lr / denom
 
 
 class TestAdam:
     def test_first_step_moves_by_about_lr(self):
-        theta = scalar_param(1.0)
-        opt = AdamState(lr=0.01)
-        adam_step(with_grad(theta, [3.7]), opt)
+        params = with_grads(init_params(TINY, 0), 3.7)
+        before = params.flat.copy()
+        adam_step(params, attached(params, lr=0.01))
         # Bias-corrected first step is lr * g / (|g| + eps'): almost exactly lr.
-        assert theta.data[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
+        assert params.flat == pytest.approx(before - 0.01, abs=1e-6)
 
     def test_zero_gradient_leaves_parameter(self):
-        theta = scalar_param(2.5)
-        opt = AdamState(lr=0.1)
-        adam_step(with_grad(theta, [0.0]), opt)
-        assert theta.data[0] == 2.5
+        params = with_grads(init_params(TINY, 0), 0.0)
+        before = params.flat.tobytes()
+        adam_step(params, attached(params, lr=0.1))
+        assert params.flat.tobytes() == before
 
     def test_later_steps_allocate_no_parameter_sized_array(self):
-        theta = Tensor(np.ones(100_000), requires_grad=True, name="theta")
-        opt = AdamState()
-        named = with_grad(theta, np.full(100_000, 0.5))
-        adam_step(named, opt)
+        params = with_grads(init_params(HyperParams(n=300, dim=64, msg_dim=64, heads=1), 0),
+                            0.5)
+        assert params.flat.size > 100_000
+        opt = attached(params)
+        adam_step(params, opt)
         tracemalloc.start()
         try:
-            adam_step(named, opt)
+            adam_step(params, opt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < theta.data.nbytes // 4
+        assert peak < params.flat.nbytes // 4
 
     def test_three_steps_match_hand_recurrence(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        theta = scalar_param(1.0)
-        opt = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
-
-        x = 1.0
-        m = v = 0.0
+        params = init_params(TINY, 0)
+        opt = attached(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        xs = params.flat.tolist()
+        m = [0.0] * len(xs)
+        v = [0.0] * len(xs)
         for t in range(1, 4):
-            g = 2.0 * x  # gradient of x^2
-            adam_step(with_grad(theta, [g]), opt)
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            x = x - lr * m_hat / (math.sqrt(v_hat) + eps)
-            assert theta.data[0] == pytest.approx(x, abs=1e-12)
+            for tensor in params.tensors.values():
+                tensor.grad = 2.0 * tensor.data  # gradient of the sum of squares
+            adam_step(params, opt)
+            for k, x in enumerate(xs):
+                g = 2.0 * x
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                m_hat = m[k] / (1 - b1 ** t)
+                v_hat = v[k] / (1 - b2 ** t)
+                xs[k] = x - lr * m_hat / (math.sqrt(v_hat) + eps)
+            assert params.flat.tolist() == pytest.approx(xs, abs=1e-12)
 
     def test_shape_error(self):
-        theta = scalar_param(1.0)
-        with pytest.raises(ShapeError):
-            adam_step(with_grad(theta, np.zeros(3)), AdamState())
+        params = with_grads(init_params(TINY, 0), 1.0)
+        params.tensors["output_mlp.b2"].grad = np.zeros(3)
+        with pytest.raises(ShapeError, match="output_mlp.b2"):
+            adam_step(params, attached(params))
 
     def test_missing_gradient_is_zero(self):
-        theta, other = scalar_param(1.0), scalar_param(2.0, name="other")
-        opt = AdamState(lr=0.05)
-        adam_step([*with_grad(theta, [1.0]), ("other", other)], opt)
-        assert theta.data[0] == pytest.approx(0.95, abs=1e-6) and other.data[0] == 2.0
+        params = with_grads(init_params(TINY, 0), {"output_mlp.b2": 1.0})
+        before = dict((name, a.copy()) for name, a in params.named_views(params.flat).items())
+        adam_step(params, attached(params, lr=0.05))
+        for name, array in params.named_views(params.flat).items():
+            if name == "output_mlp.b2":
+                assert array == pytest.approx(before[name] - 0.05, abs=1e-6)
+            else:
+                assert array.tobytes() == before[name].tobytes(), name
+
+
+@st.composite
+def adam_runs(draw):
+    """Small random hyperparameters, Adam settings and three steps of gradients,
+    each tensor's left out (None) or drawn from a seeded normal at a drawn scale."""
+    heads = draw(st.integers(1, 3))
+    hyper = HyperParams(n=draw(st.integers(1, 4)), dim=draw(st.integers(1, 4)),
+                        msg_dim=heads * draw(st.integers(1, 3)), heads=heads,
+                        rel_dim=draw(st.integers(1, 3)), n_clusters=draw(st.integers(1, 3)),
+                        no_multilevel=draw(st.booleans()))
+    settings = dict(lr=draw(st.sampled_from([1e-4, 3e-3, 0.5])),
+                    beta1=draw(st.sampled_from([0.0, 0.9])),
+                    beta2=draw(st.sampled_from([0.5, 0.999])),
+                    eps=draw(st.sampled_from([1e-8, 1.0])))
+    names = [spec.name for spec in param_layout(hyper)]
+    steps = [{name: draw(st.sampled_from([None, 0.0, 1e-6, 1.0, 1e6])) for name in names}
+             for _ in range(3)]
+    return hyper, settings, steps, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=adam_runs())
+def test_flat_adam_matches_the_per_array_update_bit_for_bit(run):
+    hyper, settings, steps, seed = run
+    rng = np.random.default_rng(seed)
+    params = init_params(hyper, seed % 1000)
+    opt = attached(params, **settings)
+    arrays = {name: t.data.copy() for name, t in params.named_tensors()}
+    m = {name: np.zeros_like(a) for name, a in arrays.items()}
+    v = {name: np.zeros_like(a) for name, a in arrays.items()}
+    for t, scales in enumerate(steps, start=1):
+        for name, tensor in params.tensors.items():
+            scale = scales[name]
+            tensor.grad = None if scale is None else scale * rng.normal(size=tensor.data.shape)
+        grads = {name: grad_of(view) for name, view in params.named_tensors()}
+        adam_step(params, opt)
+        reference_adam(arrays, m, v, grads, t, opt)
+        assert params.flat.tobytes() == b"".join(a.tobytes() for a in arrays.values())
+        for name in arrays:
+            assert opt.m[name].tobytes() == m[name].tobytes(), name
+            assert opt.v[name].tobytes() == v[name].tobytes(), name
+    assert opt.step_count == 3
 
 
 class TestEarlyStopper:
@@ -260,22 +331,27 @@ class TestCheckpoints:
             assert np.array_equal(a.data, b.data), name
 
     def test_adam_state_round_trip(self, tmp_path):
-        opt = AdamState(lr=0.005, step_count=17)
-        opt.m["station_mlp.w1"] = np.full((6, 9), 0.25)
-        opt.v["station_mlp.w1"] = np.full((6, 9), 0.5)
-        _, (_, loaded_opt, _), _ = self.roundtrip(tmp_path, opt)
+        params = init_params(small_hyper(n=3), 4)
+        opt = AdamState(lr=0.005, step_count=17).attach(params)
+        opt.flat_m[...] = np.arange(params.flat.size) / 7.0
+        opt.flat_v[...] = np.arange(params.flat.size) ** 2 / 3.0
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, opt, small_hyper(n=3), path)
+        loaded, loaded_opt, _ = load_checkpoint(path)
         assert loaded_opt.lr == 0.005 and loaded_opt.step_count == 17
-        assert np.array_equal(loaded_opt.m["station_mlp.w1"], opt.m["station_mlp.w1"])
+        assert loaded_opt.flat_m.tobytes() == opt.flat_m.tobytes()
+        assert loaded_opt.flat_v.tobytes() == opt.flat_v.tobytes()
+        assert set(loaded_opt.m) == set(opt.m) == {name for name, _ in params.named_tensors()}
+        for name, moment in opt.m.items():  # the loaded views lie in the loaded vectors
+            assert np.array_equal(loaded_opt.m[name], moment), name
+            assert np.shares_memory(loaded_opt.m[name], loaded_opt.flat_m), name
+            assert np.shares_memory(loaded_opt.v[name], loaded_opt.flat_v), name
 
     def test_manifest_names_every_head(self, tmp_path):
         hyper = HyperParams(n=3, dim=4, msg_dim=4, heads=2, rel_dim=2, n_clusters=2,
                             tau=60.0, decay_rate=0.01)
-        params = init_params(hyper, 0)
-        named = params.named_tensors()
-        for _, tensor in named:  # a head's gradient is its stack's
-            tensor = getattr(tensor, "base", tensor)
-            tensor.grad = np.ones(tensor.data.shape)
-        opt = adam_step(named, AdamState())
+        params = with_grads(init_params(hyper, 0), 1.0)
+        opt = adam_step(params, AdamState().attach(params))
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, opt, hyper, path)
         blob = path.read_bytes()
@@ -475,10 +551,11 @@ class TestCheckpoints:
 
     def test_every_header_and_manifest_bit_flip_and_truncation(self, tmp_path):
         hyper = small_hyper(n=3)
-        opt = AdamState(lr=0.005, step_count=3)
-        opt.m["b"], opt.v["b"] = np.full(2, 0.25), np.full(2, 0.5)
+        params = init_params(hyper, 0)
+        opt = AdamState(lr=0.005, step_count=3).attach(params)
+        opt.flat_m[...], opt.flat_v[...] = 0.25, 0.5
         path = tmp_path / "model.ckpt"
-        save_checkpoint(init_params(hyper, 0), opt, hyper, path)
+        save_checkpoint(params, opt, hyper, path)
         blob = path.read_bytes()
         manifest_end = 16 + struct.unpack_from("<I", blob, 12)[0]
         corruptions = [blob[:length] for length in range(len(blob))]
@@ -502,7 +579,25 @@ class TestCheckpoints:
 # -- crafted manifests ------------------------------------------------------
 
 MUTATIONS = ("hyper", "heads", "reorder", "shorten", "extend", "resize", "adam-null",
-             "truncate")
+             "moments", "truncate")
+MOMENT_EDITS = ("stray", "misshaped", "dropped")
+
+
+def edit_moments(manifest: dict, payload: bytes, edit: str, pick: int = 0) -> bytes:
+    """Add a stray ``adam.m.bogus``, give moment ``pick`` (modulo their count) a shape of
+    the same size with a trailing 1, or drop it with its bytes; returns the payload."""
+    arrays = manifest["arrays"]
+    if edit == "stray":
+        arrays.append(["adam.m.bogus", [2]])
+        return payload + bytes(16)
+    moments = [k for k, (name, _) in enumerate(arrays) if name.startswith("adam.")]
+    k = moments[pick % len(moments)]
+    if edit == "misshaped":
+        arrays[k][1] = [*arrays[k][1], 1]
+        return payload
+    offset = 8 * sum(math.prod(shape) for _, shape in arrays[:k])
+    size = 8 * math.prod(arrays.pop(k)[1])
+    return payload[:offset] + payload[offset + size:]
 
 
 @pytest.fixture(scope="module")
@@ -511,9 +606,8 @@ def base_checkpoint(tmp_path_factory):
     hyper = HyperParams(n=3, dim=4, msg_dim=4, heads=2, rel_dim=2, n_clusters=2, tau=60.0,
                         decay_rate=0.01)
     params = init_params(hyper, 0)
-    opt = AdamState(lr=0.01, step_count=1)
-    for name, tensor in params.named_tensors():
-        opt.m[name], opt.v[name] = tensor.data * 0.5, tensor.data ** 2
+    opt = AdamState(lr=0.01, step_count=1).attach(params)
+    opt.flat_m[...], opt.flat_v[...] = params.flat * 0.5, params.flat ** 2
     out = tmp_path_factory.mktemp("crafted")
     save_checkpoint(params, opt, hyper, out / "base.ckpt")
     return (out / "base.ckpt").read_bytes(), out
@@ -548,6 +642,9 @@ def crafted(draw, blob):
                     st.sampled_from([0, 1, 3, 10**10]))
         elif kind == "adam-null":
             manifest["adam"] = None
+        elif kind == "moments" and any(name.startswith("adam.") for name, _ in arrays):
+            payload = edit_moments(manifest, payload, draw(st.sampled_from(MOMENT_EDITS)),
+                                   draw(st.integers(0, 10**6)))
     cells = sum(math.prod(shape) for _, shape in manifest["arrays"])
     if cells <= 10**5 and draw(st.booleans()):
         payload = (payload + bytes(8 * cells))[:8 * cells]
@@ -576,3 +673,14 @@ def test_crafted_manifest_loads_or_is_one_error_quickly_and_small(base_checkpoin
         tracemalloc.stop()
     assert elapsed < 1.0
     assert peak < 4 * len(blob) + 2**18
+
+
+@pytest.mark.parametrize("edit", MOMENT_EDITS)
+def test_moment_set_that_misses_the_layout_is_version_mismatch(base_checkpoint, edit):
+    blob, out = base_checkpoint
+    manifest = manifest_of(blob)
+    payload = edit_moments(manifest, payload_of(blob), edit)
+    path = out / f"moments-{edit}.ckpt"
+    path.write_bytes(v2_checkpoint(manifest, payload))
+    with pytest.raises(VersionMismatch, match="adam.m.<name> and adam.v.<name>"):
+        load_checkpoint(path)
