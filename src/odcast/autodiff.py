@@ -74,22 +74,8 @@ class Tensor:
         tag = self.name or ("param" if self.requires_grad else "const")
         return f"Tensor({tag}, shape={self.data.shape})"
 
-    # -- sugar ----------------------------------------------------------
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     def __getitem__(self, index) -> "View":
         return View(self, index)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 class View(Tensor):
@@ -117,10 +103,6 @@ class View(Tensor):
         if value is not None:
             raise TypeError(f"{self.name} is a view; ops must take the tensor it views")
         self.base.grad = None
-
-
-def as_tensor(x, name: str | None = None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False, name=name)
 
 
 def constant(x, name: str | None = None) -> Tensor:

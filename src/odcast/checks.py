@@ -114,8 +114,7 @@ def toy_gradient_check(seed: int = 0, tol: float = 1e-4) -> FdReport:
         bank = MemoryBank(
             station_a=station_a.copy(),
             station_b=station_b.copy(),
-            levels=LevelState(cluster_mem=params.cluster_mem0, area_mem=params.area_mem0,
-                              last_update=0.0),
+            levels=LevelState(cluster_mem=params.cluster_mem0, area_mem=params.area_mem0),
             last_update=0.0,
         )
         result = step(bank, batch, params, hyper, catalog)

@@ -36,7 +36,7 @@ EVENT_HEADER = ("origin", "destination", "timestamp")
 CATALOG_HEADER = ("name", "index")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransactionEvent:
     """One timestamped origin->destination trip record.
 

@@ -177,7 +177,7 @@ class MemoryBank:
 
     Station memories start at (a=0, b=1); cluster and area memories start at
     the trainable initial arrays, which stay live on the tape for exactly one
-    step after a reset.
+    step after a reset.  ``last_update`` is the one clock of all three levels.
     """
 
     def __init__(self, station_a: np.ndarray, station_b: np.ndarray, levels: LevelState,
@@ -192,8 +192,7 @@ class MemoryBank:
         return cls(
             station_a=np.zeros((hyper.n, hyper.dim)),
             station_b=np.ones(hyper.n),
-            levels=LevelState(cluster_mem=params.cluster_mem0, area_mem=params.area_mem0,
-                              last_update=t0),
+            levels=LevelState(cluster_mem=params.cluster_mem0, area_mem=params.area_mem0),
             last_update=t0,
         )
 
@@ -224,13 +223,13 @@ def step(bank: MemoryBank, batch: EventBatch, params: ModelParams, hyper: HyperP
     if catalog.n != hyper.n:
         raise DimensionMismatch(f"catalog has {catalog.n} nodes, hyperparameters {hyper.n}")
     t = batch.window_end
+    dt = t - bank.last_update
     cfg = hyper.decay_config
     reps_prev = bank.station_reps()
 
     msgs = aggregate_messages(batch, reps_prev, catalog, cfg)
     a_new, b_new = update_stations(bank.station_a, bank.station_b,
-                                   params.station_mlp(ad.constant(msgs.p)), msgs.q,
-                                   t - bank.last_update, cfg)
+                                   params.station_mlp(ad.constant(msgs.p)), msgs.q, dt, cfg)
     inv_b = 1.0 / b_new  # the station block of z is a_new / b_new, row by row
 
     if hyper.no_multilevel:
@@ -247,7 +246,7 @@ def step(bank: MemoryBank, batch: EventBatch, params: ModelParams, hyper: HyperP
         if len(batch):
             cluster_msgs = project_cluster_messages(relations, msgs, params.w_c3)
             area_msg = project_area_message(relations, cluster_msgs, params.w_g3)
-        new_levels = update_level_memories(bank.levels, cluster_msgs, area_msg, t,
+        new_levels = update_level_memories(bank.levels, cluster_msgs, area_msg, dt,
                                            params.cluster_mlp, params.area_mlp, cfg)
         z = fuse(a_new, new_levels, relations, row_scale=inv_b)
 

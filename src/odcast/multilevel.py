@@ -68,25 +68,24 @@ class RelationTensors:
 
 @dataclass
 class LevelState:
-    """Cluster memories (N_c, d), the area memory (1, d), and their clock."""
+    """Cluster memories (N_c, d) and the area memory (1, d); their clock is the
+    memory bank's."""
 
-    cluster_mem: Tensor | np.ndarray
-    area_mem: Tensor | np.ndarray
-    last_update: float
+    cluster_mem: Tensor
+    area_mem: Tensor
 
     def cluster_array(self) -> np.ndarray:
-        return self.cluster_mem.data if isinstance(self.cluster_mem, Tensor) else self.cluster_mem
+        return self.cluster_mem.data
 
     def area_array(self) -> np.ndarray:
-        return self.area_mem.data if isinstance(self.area_mem, Tensor) else self.area_mem
+        return self.area_mem.data
 
     def detached(self) -> "LevelState":
         """The memories as constants off the tape, for the next step to read."""
-        return LevelState(ad.detach(ad.as_tensor(self.cluster_mem)),
-                          ad.detach(ad.as_tensor(self.area_mem)), self.last_update)
+        return LevelState(ad.detach(self.cluster_mem), ad.detach(self.area_mem))
 
 
-def compute_relations(station_reps, cluster_reps, area_rep, attn: AttentionWeights,
+def compute_relations(station: Tensor, cluster: Tensor, area: Tensor, attn: AttentionWeights,
                       scale_logits: bool = False) -> RelationTensors:
     """Bilinear relation logits between adjacent levels, all heads at once.
 
@@ -96,7 +95,6 @@ def compute_relations(station_reps, cluster_reps, area_rep, attn: AttentionWeigh
     BEFORE the current batch's memory update.  ``scale_logits`` divides by
     sqrt(d_rel) before the softmaxes (off by default).
     """
-    station, cluster, area = map(ad.as_tensor, (station_reps, cluster_reps, area_rep))
     ac = ad.bilinear(station, attn.w_c1, cluster, attn.w_c2)
     ag = ad.bilinear(cluster, attn.w_g1, area, attn.w_g2)
     if scale_logits:
@@ -132,25 +130,25 @@ def project_area_message(relations: RelationTensors, cluster_msgs: Tensor,
 
 
 def update_level_memories(state: LevelState, cluster_msgs: Tensor | None, area_msg: Tensor | None,
-                          t: float, cluster_mlp: Callable[[Tensor], Tensor],
+                          dt: float, cluster_mlp: Callable[[Tensor], Tensor],
                           area_mlp: Callable[[Tensor], Tensor], cfg: DecayConfig) -> LevelState:
-    """Decay cluster/area memories to time ``t`` and add mapped messages.
+    """Decay cluster/area memories over ``dt`` seconds and add mapped messages.
 
     There is no ``b`` normalizer at these levels.  A batch with no events has
     no messages (both None): its memories only decay, so idle decay cannot
     pick up the update maps' biases.
     """
-    decay = cfg.factor(t - state.last_update)
-    cluster, area = ad.as_tensor(state.cluster_mem), ad.as_tensor(state.area_mem)
+    decay = cfg.factor(dt)
+    cluster, area = state.cluster_mem, state.area_mem
     if cluster_msgs is None:
         cluster, area = ad.scale(cluster, decay), ad.scale(area, decay)
     else:
         cluster = ad.decayed_update(cluster, decay, cluster_mlp(cluster_msgs))
         area = ad.decayed_update(area, decay, area_mlp(area_msg))
-    return LevelState(cluster_mem=cluster, area_mem=area, last_update=t)
+    return LevelState(cluster_mem=cluster, area_mem=area)
 
 
-def fuse(station_reps, state: LevelState, relations: RelationTensors,
+def fuse(station: Tensor, state: LevelState, relations: RelationTensors,
          row_scale: np.ndarray) -> Tensor:
     """Concatenate station representations with their level memories.
 
@@ -159,15 +157,12 @@ def fuse(station_reps, state: LevelState, relations: RelationTensors,
     averaged over heads.  The area block is the area memory on every row: a
     station reaches the single area node through its clusters, whose weights
     sum to 1 and whose cluster-to-area weights are all 1.  Row i of
-    ``station_reps`` is scaled by ``row_scale[i]`` first: the model passes
+    ``station`` is scaled by ``row_scale[i]`` first: the model passes
     the station accumulators ``a`` with ``1/b``.
     """
-    station = ad.as_tensor(station_reps)
-    cluster_mem = ad.as_tensor(state.cluster_mem)
-    area_mem = ad.as_tensor(state.area_mem)
     # Averaging the weights over heads first takes one product, not one per head.
-    from_clusters = ad.matmul(ad.head_mean(relations.ace), cluster_mem)  # (N, d)
-    return ad.fuse_columns(station, from_clusters, area_mem, row_scale)
+    from_clusters = ad.matmul(ad.head_mean(relations.ace), state.cluster_mem)  # (N, d)
+    return ad.fuse_columns(station, from_clusters, state.area_mem, row_scale)
 
 
 def relation_rows(relations: RelationTensors, view: str) -> list[tuple[int, int, int, float]]:

@@ -230,29 +230,37 @@ def generate(cfg: SynthConfig) -> tuple[list[TransactionEvent], NodeCatalog, Rat
 
     Each pair is thinned against its own peak rate with an RNG derived from
     (seed, origin, destination); identical configs give identical streams.
+    A gap is drawn as ``standard_exponential() * scale`` and a thinning draw as
+    ``random()``: the very operations of ``exponential(scale)`` and
+    ``uniform()``, bit for bit, without their argument handling.
     """
     rate = RateFunction(cfg)
     horizon = cfg.horizon
+    # A pair's peak depends only on its communities: one call per community pair.
+    member = {cfg.community(node): node for node in range(cfg.n)}
+    peak_of = {(gi, gj): rate.peak(i, j) for gi, i in member.items() for gj, j in member.items()}
     rows = []  # per origin: (origin, destinations, times) of the kept events
     for i in range(cfg.n):
+        group = cfg.community(i)
         dests: list[int] = []    # one entry per pair with a positive peak
         peaks: list[float] = []
         counts: list[int] = []   # that pair's candidates
         times = array("d")       # one entry per candidate
         draws = array("d")
         for j in range(cfg.n):
-            peak = rate.peak(i, j)
+            peak = peak_of[group, cfg.community(j)]
             if peak <= 0.0:
                 continue
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i, j)))
+            scale = 1.0 / peak
             first = len(times)
             t = 0.0
             while True:
-                t += rng.exponential(1.0 / peak)
+                t += rng.standard_exponential() * scale
                 if t >= horizon:
                     break
                 times.append(t)
-                draws.append(rng.uniform())
+                draws.append(rng.random())
             dests.append(j)
             peaks.append(peak)
             counts.append(len(times) - first)
@@ -265,8 +273,8 @@ def generate(cfg: SynthConfig) -> tuple[list[TransactionEvent], NodeCatalog, Rat
         rows.append((np.full(int(keep.sum()), i), dest[keep], t[keep]))
     origin, dest, t = (np.concatenate(column) for column in zip(*rows))
     order = np.lexsort((dest, origin, t))
-    events = [TransactionEvent(*row) for row in
-              zip(origin[order].tolist(), dest[order].tolist(), t[order].tolist())]
+    events = list(map(TransactionEvent, origin[order].tolist(), dest[order].tolist(),
+                      t[order].tolist()))
     catalog = NodeCatalog(n=cfg.n, names=tuple(f"n{i:02d}" for i in range(cfg.n)))
     return events, catalog, rate
 

@@ -720,7 +720,7 @@ class TestFdCheck:
 
     def test_constant_function(self):
         theta = param(np.array([1.0, 2.0]), name="theta")
-        report = fd_check(lambda: ad.constant(np.asarray(4.0)) * ad.constant(np.asarray(1.0)),
+        report = fd_check(lambda: ad.mul(ad.constant(np.asarray(4.0)), ad.constant(np.asarray(1.0))),
                           [("theta", theta)], tol=1e-4)
         assert report.max_rel_error < 1e-4
         assert all(r.analytic == 0.0 for r in report.rows)

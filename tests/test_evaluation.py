@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from odcast import evaluation
 from odcast.errors import LengthMismatch
-from odcast.events import NodeCatalog, TransactionEvent
+from odcast.events import NodeCatalog, TransactionEvent, csv_field
 from odcast.evaluation import (WindowPrediction, compute_metrics, evaluate,
                                export_representations, final_relations, ha_baseline,
                                predict_walk, write_predictions_csv)
@@ -267,6 +267,36 @@ class TestPredictWalk:
         # (which, ending off the tau grid, can overlap two windows).
         assert doubled_steps <= 2 * steps + math.ceil(per_window / cap)
         assert doubled_rows <= 2 * rows + 2 * per_window
+
+    def test_doubling_the_windows_at_most_doubles_the_dump_work(self, monkeypatch, tmp_path):
+        # Deterministic work counts, not timings: csv_field calls (one per node, not
+        # per window), wrapped under the name the writer calls, and rows written.
+        hyper, params, catalog = tiny_model()
+        span = 24 * hyper.tau
+        events = tiny_stream(3, 24, seed=8, rate=9)
+        doubled = events + [TransactionEvent(ev.origin, ev.destination, ev.timestamp + span)
+                            for ev in events]
+        calls = []
+
+        def counted_field(text):
+            calls.append(text)
+            return csv_field(text)
+
+        monkeypatch.setattr(evaluation, "csv_field", counted_field)
+
+        def dump(stream):
+            calls.clear()
+            path = tmp_path / "pred.csv"
+            write_predictions_csv(predict_walk(params, stream, catalog, hyper, t0=0.0, cap=3),
+                                  catalog, path)
+            with open(path, encoding="utf-8") as fh:
+                return len(calls), sum(1 for _ in fh) - 1
+
+        fields, rows = dump(events)
+        doubled_fields, doubled_rows = dump(doubled)
+        assert fields == doubled_fields == catalog.n and rows > 24 * catalog.n ** 2
+        # Give or take one window of rows.
+        assert doubled_rows <= 2 * rows + catalog.n ** 2
 
     def test_csv_dump(self, tmp_path):
         hyper, params, catalog = tiny_model()

@@ -340,6 +340,49 @@ class TestBlockParsing:
         assert len(block_starts(text)) > 3
         return text
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "second-row-quoted"])
+    def test_doubling_the_file_at_most_doubles_the_parse_work(self, monkeypatch, quoted):
+        # Deterministic work counts, not timings: the rows handed to the block reader
+        # and to the row walk, wrapped under the names parse_events calls.  Small
+        # blocks give each file many of them.
+        monkeypatch.setattr(events_module, "_BLOCK_CHARS", 2048)
+        columns, walk = events_module._columns, events_module._walk
+        work = {}
+
+        def counted_columns(cells, *args):
+            work["columns"] += len(cells) // 3
+            return columns(cells, *args)
+
+        def counted_walk(records, *args):
+            def rows():
+                for row in records:
+                    work["walked"] += 1
+                    yield row
+            return walk(rows(), *args)
+
+        monkeypatch.setattr(events_module, "_columns", counted_columns)
+        monkeypatch.setattr(events_module, "_walk", counted_walk)
+
+        def parse(rows):
+            # Names repeat every 4 rows, so with 3000 rows the doubled file is the
+            # stream followed by a copy shifted by its span.
+            body = [f"{NAMES[k % 4]},{NAMES[k * 7 % 4]},{k}.5\n" for k in range(rows)]
+            if quoted:
+                body[1] = '"' + body[1].replace(",", '",', 1)
+            work.update(columns=0, walked=0)
+            stream = parse_events(io.StringIO("origin,destination,timestamp\n" + "".join(body)),
+                                  NodeCatalog(n=4, names=NAMES))
+            assert len(stream) == rows
+            return work["columns"], work["walked"]
+
+        rows = 3000
+        single, doubled = parse(rows), parse(2 * rows)
+        assert single == ((0, rows) if quoted else (rows, 0))
+        # Give or take one block: a block that fails its checks is also walked.
+        block_rows = events_module._BLOCK_CHARS // len("west,east,0.5\n") + events_module._RUN_LINES
+        for count, doubled_count in zip(single, doubled):
+            assert doubled_count <= 2 * count + block_rows
+
     def test_decreasing_time_on_a_block_edge(self):
         text = self.multi_block_text(12_000)
         line = block_starts(text)[1]

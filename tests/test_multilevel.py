@@ -24,11 +24,19 @@ def random_attention(rng, heads, d_rel, d):
 
 
 def random_setup(rng, n=5, n_c=2, d=3, heads=2, d_rel=2):
-    station = rng.normal(size=(n, d))
-    cluster = rng.normal(size=(n_c, d))
-    area = rng.normal(size=(1, d))
+    """Station, cluster and area representations as constants, and attention weights."""
+    station, cluster, area = (ad.constant(rng.normal(size=shape))
+                              for shape in ((n, d), (n_c, d), (1, d)))
     attn = random_attention(rng, heads, d_rel, d)
     return station, cluster, area, attn
+
+
+def zeros(*shape):
+    return ad.constant(np.zeros(shape))
+
+
+def level_state(cluster_mem, area_mem):
+    return LevelState(ad.constant(cluster_mem), ad.constant(area_mem))
 
 
 class TestComputeRelations:
@@ -36,6 +44,7 @@ class TestComputeRelations:
         rng = np.random.default_rng(0)
         station, cluster, area, attn = random_setup(rng)
         rel = compute_relations(station, cluster, area, attn)
+        station, cluster, area = station.data, cluster.data, area.data
         for h in range(2):
             w1, w2 = attn.w_c1[h].data, attn.w_c2[h].data
             for i in range(station.shape[0]):
@@ -61,7 +70,7 @@ class TestComputeRelations:
     def test_zero_reps_give_uniform_views(self):
         rng = np.random.default_rng(2)
         attn = random_attention(rng, heads=2, d_rel=2, d=3)
-        rel = compute_relations(np.zeros((4, 3)), np.zeros((2, 3)), np.zeros((1, 3)), attn)
+        rel = compute_relations(zeros(4, 3), zeros(2, 3), zeros(1, 3), attn)
         assert np.allclose(rel.acm[0].data, 0.25)
         assert np.allclose(rel.ace[0].data, 0.5)
 
@@ -76,7 +85,7 @@ class TestComputeRelations:
         rng = np.random.default_rng(4)
         station, cluster, area, attn = random_setup(rng)
         with pytest.raises(ShapeError):
-            compute_relations(station[:, :2], cluster, area, attn)
+            compute_relations(ad.constant(station.data[:, :2]), cluster, area, attn)
 
     def test_scale_flag_shrinks_logits(self):
         rng = np.random.default_rng(5)
@@ -94,7 +103,7 @@ class TestProjections:
         s = np.array([0.5, -1.0, 2.0])
         msgs = StationMessages(p=s[None, :], q=np.array([1.0]))
         attn = random_attention(np.random.default_rng(0), heads=2, d_rel=2, d=2)
-        rel = compute_relations(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)), attn)
+        rel = compute_relations(zeros(1, 2), zeros(1, 2), zeros(1, 2), attn)
         w_c3 = params(np.stack([np.eye(d_s), np.eye(d_s)]))
         out = project_cluster_messages(rel, msgs, w_c3)
         assert np.allclose(out.data, np.concatenate([s, s])[None, :])
@@ -175,14 +184,14 @@ def zero_free_mlp(value=0.0):
 class TestLevelUpdates:
     def test_suppressed_idle_is_identity_at_dt_zero(self):
         cfg = DecayConfig(decay_rate=0.1, dim=2)
-        state = LevelState(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]), 5.0)
-        out = update_level_memories(state, None, None, 5.0, zero_free_mlp(), zero_free_mlp(), cfg)
-        assert np.array_equal(out.cluster_array(), state.cluster_mem)
-        assert np.array_equal(out.area_array(), state.area_mem)
+        state = level_state(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
+        out = update_level_memories(state, None, None, 0.0, zero_free_mlp(), zero_free_mlp(), cfg)
+        assert np.array_equal(out.cluster_array(), state.cluster_array())
+        assert np.array_equal(out.area_array(), state.area_array())
 
     def test_pure_decay_halves_at_half_life(self):
         cfg = DecayConfig(decay_rate=math.log(2.0) / 30.0, dim=2)
-        state = LevelState(np.array([[2.0, -4.0]]), np.array([[8.0, 0.5]]), 0.0)
+        state = level_state(np.array([[2.0, -4.0]]), np.array([[8.0, 0.5]]))
         out = update_level_memories(state, None, None, 30.0, zero_free_mlp(), zero_free_mlp(), cfg)
         assert np.allclose(out.cluster_array(), [[1.0, -2.0]])
         assert np.allclose(out.area_array(), [[4.0, 0.25]])
@@ -199,8 +208,8 @@ class TestLevelUpdates:
         def affine(x):
             return ad.add(x, ad.constant(np.full(x.data.shape, shift)))
 
-        state = LevelState(cluster0.copy(), area0.copy(), 10.0)
-        out = update_level_memories(state, ad.constant(cmsg), ad.constant(amsg), 35.0,
+        state = level_state(cluster0.copy(), area0.copy())
+        out = update_level_memories(state, ad.constant(cmsg), ad.constant(amsg), 25.0,
                                     affine, affine, cfg)
         decay = math.exp(-cfg.decay_rate * 25.0)
         assert np.allclose(out.cluster_array(), decay * cluster0 + cmsg + shift,
@@ -209,16 +218,15 @@ class TestLevelUpdates:
 
     def test_unweighted_skips_decay(self):
         cfg = DecayConfig(decay_rate=0.5, dim=1, weighted=False)
-        state = LevelState(np.array([[3.0]]), np.array([[5.0]]), 0.0)
+        state = level_state(np.array([[3.0]]), np.array([[5.0]]))
         out = update_level_memories(state, None, None, 100.0, zero_free_mlp(), zero_free_mlp(), cfg)
         assert np.array_equal(out.cluster_array(), [[3.0]])
 
     def test_time_regression(self):
         cfg = DecayConfig(decay_rate=0.1, dim=1)
-        state = LevelState(np.zeros((1, 1)), np.zeros((1, 1)), 10.0)
+        state = level_state(np.zeros((1, 1)), np.zeros((1, 1)))
         with pytest.raises(TimeRegression):
-            update_level_memories(state, ad.constant(np.zeros((1, 1))),
-                                  ad.constant(np.zeros((1, 1))), 5.0,
+            update_level_memories(state, zeros(1, 1), zeros(1, 1), -5.0,
                                   zero_free_mlp(), zero_free_mlp(), cfg)
 
 
@@ -230,8 +238,7 @@ class TestFuse:
         rel = compute_relations(station, cluster, area, attn)
         cluster_mem = rng.normal(size=(1, d))
         area_mem = rng.normal(size=(1, d))
-        state = LevelState(cluster_mem, area_mem, 0.0)
-        z = fuse(station, state, rel, np.ones(n)).data
+        z = fuse(station, level_state(cluster_mem, area_mem), rel, np.ones(n)).data
         for i in range(n):
             assert np.max(np.abs(z[i, d:2 * d] - cluster_mem[0])) <= 1e-12
             assert np.max(np.abs(z[i, 2 * d:] - area_mem[0])) <= 1e-12
@@ -240,9 +247,8 @@ class TestFuse:
         rng = np.random.default_rng(8)
         station, cluster, area, attn = random_setup(rng, n=3, n_c=2, d=3)
         rel = compute_relations(station, cluster, area, attn)
-        state = LevelState(np.zeros((2, 3)), np.zeros((1, 3)), 0.0)
-        z = fuse(station, state, rel, np.ones(len(station))).data
-        assert np.array_equal(z[:, :3], station)
+        z = fuse(station, level_state(np.zeros((2, 3)), np.zeros((1, 3))), rel, np.ones(3)).data
+        assert np.array_equal(z[:, :3], station.data)
         assert not z[:, 3:].any()
 
     def test_matches_triple_loop_oracle(self):
@@ -252,7 +258,7 @@ class TestFuse:
         rel = compute_relations(station, cluster, area, attn)
         cluster_mem = rng.normal(size=(n_c, d))
         area_mem = rng.normal(size=(1, d))
-        z = fuse(station, LevelState(cluster_mem, area_mem, 0.0), rel, np.ones(n)).data
+        z = fuse(station, level_state(cluster_mem, area_mem), rel, np.ones(n)).data
 
         for i in range(n):
             rc = np.zeros(d)
@@ -264,7 +270,7 @@ class TestFuse:
                     rg += rel.ace[h].data[i, j] * area_mem[0]
             rc /= heads
             rg /= heads
-            assert np.allclose(z[i], np.concatenate([station[i], rc, rg]),
+            assert np.allclose(z[i], np.concatenate([station.data[i], rc, rg]),
                                rtol=1e-12, atol=1e-12)
 
     def test_cluster_fusion_is_convex(self):
@@ -273,7 +279,7 @@ class TestFuse:
         station, cluster, area, attn = random_setup(rng, n=n, n_c=n_c, d=d)
         rel = compute_relations(station, cluster, area, attn)
         cluster_mem = rng.normal(size=(n_c, d))
-        z = fuse(station, LevelState(cluster_mem, np.zeros((1, d)), 0.0), rel, np.ones(n)).data
+        z = fuse(station, level_state(cluster_mem, np.zeros((1, d))), rel, np.ones(n)).data
         pulled = z[:, d:2 * d]
         assert (pulled >= cluster_mem.min(axis=0) - 1e-12).all()
         assert (pulled <= cluster_mem.max(axis=0) + 1e-12).all()
@@ -286,11 +292,11 @@ class TestFuse:
         area_mem = rng.normal(size=(1, d))
 
         rel = compute_relations(station, cluster, area, attn)
-        z = fuse(station, LevelState(cluster_mem.copy(), area_mem, 0.0), rel, np.ones(n)).data
+        z = fuse(station, level_state(cluster_mem.copy(), area_mem), rel, np.ones(n)).data
 
         perm = np.array([2, 0, 1])
-        rel_p = compute_relations(station, cluster[perm], area, attn)
-        z_p = fuse(station, LevelState(cluster_mem[perm], area_mem, 0.0), rel_p, np.ones(n)).data
+        rel_p = compute_relations(station, ad.constant(cluster.data[perm]), area, attn)
+        z_p = fuse(station, level_state(cluster_mem[perm], area_mem), rel_p, np.ones(n)).data
         assert np.allclose(z, z_p, rtol=1e-12, atol=1e-12)
 
 

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odcast.synthesis import RateFunction, RateSegment, SynthConfig, generate, true_window_mean
 
@@ -79,6 +81,21 @@ class TestGenerate:
                          and window[0] <= e.timestamp < window[1])
         sigma = np.sqrt(expected / seeds)
         assert abs(total / seeds - expected) < 3.0 * sigma
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), i=st.integers(0, 79), j=st.integers(0, 79),
+           scale=st.floats(1e-6, 1e9, allow_nan=False, allow_infinity=False))
+    def test_draws_match_exponential_and_uniform_bit_for_bit(self, seed, i, j, scale):
+        # generate draws gaps as standard_exponential() * scale and thinning
+        # draws as random(); the pinned streams were drawn with exponential(scale)
+        # and uniform(), whose results these must equal bit for bit.
+        def rng():
+            return np.random.default_rng(np.random.SeedSequence((seed, i, j)))
+
+        numpy_style, plain = rng(), rng()
+        drawn = [(numpy_style.exponential(scale), numpy_style.uniform()) for _ in range(50)]
+        fast = [(plain.standard_exponential() * scale, plain.random()) for _ in range(50)]
+        assert np.array(drawn).tobytes() == np.array(fast).tobytes()
 
     def test_community_partition_is_balanced(self):
         cfg = SynthConfig(n=24, communities=3)
